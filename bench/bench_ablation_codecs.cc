@@ -43,16 +43,43 @@ CodecResult RunCodec(const std::string& compression) {
   return {ingest, bytes, scan_sw.ElapsedSeconds()};
 }
 
+// Row stride and pixel width of an HxWxC image sample.
+compress::CodecContext ImageContext(const sim::SampleSpec& s) {
+  compress::CodecContext ctx;
+  ctx.row_stride = s.shape[1] * s.shape[2];
+  ctx.elem_size = static_cast<uint32_t>(s.shape[2]);
+  return ctx;
+}
+
 void BM_CompressSample(benchmark::State& state,
                        compress::Compression codec) {
   sim::WorkloadGenerator gen(sim::WorkloadGenerator::SmallJpeg(), 82);
   auto s = gen.Generate(0);
-  compress::CodecContext ctx;
-  ctx.row_stride = s.shape[1] * s.shape[2];
-  ctx.elem_size = static_cast<uint32_t>(s.shape[2]);
+  const compress::CodecContext ctx = ImageContext(s);
   for (auto _ : state) {
     auto frame = compress::CompressBytes(codec, ByteView(s.pixels), ctx);
     benchmark::DoNotOptimize(frame);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          s.pixels.size());
+}
+
+// Decodes the frame BM_CompressSample produces for the same image: the
+// read side the dataloader pays per sample (LZ77, then Paeth unfilter and
+// dequantize for the image codecs).
+void BM_DecompressSample(benchmark::State& state,
+                         compress::Compression codec) {
+  sim::WorkloadGenerator gen(sim::WorkloadGenerator::SmallJpeg(), 82);
+  auto s = gen.Generate(0);
+  auto frame =
+      compress::CompressBytes(codec, ByteView(s.pixels), ImageContext(s));
+  if (!frame.ok()) {
+    state.SkipWithError(frame.status().ToString().c_str());
+    return;
+  }
+  for (auto _ : state) {
+    auto pixels = compress::DecompressBytes(codec, ByteView(*frame));
+    benchmark::DoNotOptimize(pixels);
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           s.pixels.size());
@@ -87,14 +114,20 @@ int main(int argc, char** argv) {
       !report_st.ok()) {
     std::printf("report error: %s\n", report_st.ToString().c_str());
   }
-  std::printf("\nper-codec compression microbenchmarks "
-              "(google-benchmark):\n");
+  std::printf("\nper-codec compression and decompression "
+              "microbenchmarks (google-benchmark):\n");
 
   benchmark::RegisterBenchmark("compress/lz77", &BM_CompressSample,
                                compress::Compression::kLz77);
   benchmark::RegisterBenchmark("compress/image", &BM_CompressSample,
                                compress::Compression::kImage);
   benchmark::RegisterBenchmark("compress/image_lossy", &BM_CompressSample,
+                               compress::Compression::kImageLossy);
+  benchmark::RegisterBenchmark("decompress/lz77", &BM_DecompressSample,
+                               compress::Compression::kLz77);
+  benchmark::RegisterBenchmark("decompress/image", &BM_DecompressSample,
+                               compress::Compression::kImage);
+  benchmark::RegisterBenchmark("decompress/image_lossy", &BM_DecompressSample,
                                compress::Compression::kImageLossy);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

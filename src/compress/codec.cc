@@ -64,10 +64,7 @@ Result<ByteBuffer> Codec::Decompress(ByteView frame) const {
 
 Result<Slice> DecompressToSlice(Compression c, ByteView frame,
                                 BufferPool& pool) {
-  // The frame size is only a lower bound on the raw size, but steady-state
-  // decode sees similarly sized chunks, so a retained buffer that grew once
-  // keeps absorbing subsequent decodes without reallocating.
-  ByteBuffer out = pool.Acquire(frame.size());
+  ByteBuffer out;
   DL_RETURN_IF_ERROR(GetCodec(c)->DecompressInto(frame, out));
   return pool.Seal(std::move(out));
 }

@@ -54,9 +54,8 @@ class Codec {
   virtual Result<ByteBuffer> Compress(ByteView raw,
                                       const CodecContext& ctx) const = 0;
 
-  /// Decompresses a frame produced by `Compress`, appending into `out`
-  /// (cleared first; pre-reserved capacity — e.g. from a BufferPool — is
-  /// kept). Returns Corruption on a malformed frame.
+  /// Decompresses a frame produced by `Compress` into `out` (cleared
+  /// first). Returns Corruption on a malformed frame.
   virtual Status DecompressInto(ByteView frame, ByteBuffer& out) const = 0;
 
   /// Decompresses into a fresh buffer. Returns Corruption on a malformed
@@ -72,9 +71,9 @@ Result<ByteBuffer> CompressBytes(Compression c, ByteView raw,
                                  const CodecContext& ctx = {});
 Result<ByteBuffer> DecompressBytes(Compression c, ByteView frame);
 
-/// Decompresses into a buffer recycled from `pool` and seals it into an
-/// owning Slice — the chunk-decode hot path: steady-state epoch loops hit
-/// the pool's free list instead of the allocator (DESIGN.md §10).
+/// Decompresses into a fresh buffer and seals it into an owning Slice
+/// through `pool`, which counts the decoded bytes still alive — the
+/// chunk-decode hot path (DESIGN.md §10).
 Result<Slice> DecompressToSlice(Compression c, ByteView frame,
                                 BufferPool& pool = BufferPool::Default());
 

@@ -7,9 +7,8 @@
 //   varint pixel_stride (channels), varint row_stride (width*channels),
 //   varint raw_size, then an embedded LZ77 frame of the residual plane.
 
-#include <cstdlib>
-
 #include "compress/codec.h"
+#include "compress/kernels.h"
 #include "util/coding.h"
 #include "util/macros.h"
 
@@ -20,43 +19,6 @@ const Codec* GetLz77Codec();
 namespace {
 
 constexpr uint8_t kMagic = 'I';
-
-uint8_t Paeth(uint8_t left, uint8_t up, uint8_t upleft) {
-  int p = static_cast<int>(left) + up - upleft;
-  int pa = std::abs(p - left);
-  int pb = std::abs(p - up);
-  int pc = std::abs(p - upleft);
-  if (pa <= pb && pa <= pc) return left;
-  if (pb <= pc) return up;
-  return upleft;
-}
-
-// Residual plane via Paeth prediction. `stride` is bytes per row, `bpp`
-// bytes per pixel (the "left" neighbour distance).
-ByteBuffer FilterPlane(ByteView raw, size_t stride, size_t bpp) {
-  ByteBuffer out(raw.size());
-  const uint8_t* p = raw.data();
-  size_t n = raw.size();
-  for (size_t i = 0; i < n; ++i) {
-    size_t col = i % stride;
-    uint8_t left = col >= bpp ? p[i - bpp] : 0;
-    uint8_t up = i >= stride ? p[i - stride] : 0;
-    uint8_t upleft = (i >= stride && col >= bpp) ? p[i - stride - bpp] : 0;
-    out[i] = static_cast<uint8_t>(p[i] - Paeth(left, up, upleft));
-  }
-  return out;
-}
-
-void UnfilterPlane(ByteBuffer& data, size_t stride, size_t bpp) {
-  size_t n = data.size();
-  for (size_t i = 0; i < n; ++i) {
-    size_t col = i % stride;
-    uint8_t left = col >= bpp ? data[i - bpp] : 0;
-    uint8_t up = i >= stride ? data[i - stride] : 0;
-    uint8_t upleft = (i >= stride && col >= bpp) ? data[i - stride - bpp] : 0;
-    data[i] = static_cast<uint8_t>(data[i] + Paeth(left, up, upleft));
-  }
-}
 
 int ShiftForQuality(int quality) {
   if (quality <= 0) quality = 75;  // default
@@ -92,7 +54,7 @@ class ImageCodec : public Codec {
     ByteView source = raw;
     if (shift > 0) {
       plane.resize(raw.size());
-      for (size_t i = 0; i < raw.size(); ++i) plane[i] = raw[i] >> shift;
+      QuantizePlane(raw, shift, plane.data());
       source = ByteView(plane);
     }
     ByteBuffer residuals = FilterPlane(source, stride, bpp);
@@ -123,20 +85,19 @@ class ImageCodec : public Codec {
     if (stride == 0 || bpp == 0) {
       return Status::Corruption("image: zero stride");
     }
+    // The encoder shifts by at most 4; a byte shift beyond 7 is corrupt.
+    if (mode == 1 && shift > 7) {
+      return Status::Corruption("image: bad quantizer shift");
+    }
     DL_ASSIGN_OR_RETURN(ByteView rest, dec.GetBytes(dec.remaining()));
     // The embedded LZ77 stage unpacks the residual plane straight into the
-    // caller's (possibly pooled) buffer; unfiltering then runs in place.
+    // caller's buffer; unfiltering then runs in place.
     DL_RETURN_IF_ERROR(GetLz77Codec()->DecompressInto(rest, out));
     if (out.size() != raw_size) {
       return Status::Corruption("image: residual plane size mismatch");
     }
-    UnfilterPlane(out, stride, bpp);
-    if (mode == 1 && shift > 0) {
-      uint8_t center = static_cast<uint8_t>(1u << (shift - 1));
-      for (auto& b : out) {
-        b = static_cast<uint8_t>((b << shift) | center);
-      }
-    }
+    UnfilterPlane(out.data(), out.size(), stride, bpp);
+    if (mode == 1 && shift > 0) DequantizePlane(out.data(), out.size(), shift);
     return Status::OK();
   }
 

@@ -240,8 +240,6 @@ void SampleProcessGauges(MetricsRegistry& registry) {
       ->Set(static_cast<double>(pool.bytes_in_use()));
   registry.GetGauge("buffer_pool.acquires")
       ->Set(static_cast<double>(pool.acquires()));
-  registry.GetGauge("buffer_pool.retained_bytes")
-      ->Set(static_cast<double>(pool.retained_bytes()));
   registry.GetGauge("process.bytes_copied")
       ->Set(static_cast<double>(TotalBytesCopied()));
   SampleLockStats(registry);

@@ -191,8 +191,8 @@ class MetricsRegistry {
 };
 
 /// Refreshes process-level gauges in `registry` from their live sources:
-/// `buffer_pool.bytes_in_use` / `buffer_pool.acquires` /
-/// `buffer_pool.retained_bytes` from `dl::BufferPool::Default()` and
+/// `buffer_pool.bytes_in_use` / `buffer_pool.acquires` from
+/// `dl::BufferPool::Default()` and
 /// `process.bytes_copied` from `dl::TotalBytesCopied()`. These sources live
 /// below the obs layer (dl_util cannot depend on dl_obs), so they are
 /// pulled at sample time instead of pushed: the flight recorder calls this

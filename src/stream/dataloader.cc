@@ -354,6 +354,7 @@ void Dataloader::ProcessUnit(const Unit& unit) {
     MutexLock lock(mu_);
     if (!status.ok() && first_error_.ok()) first_error_ = status;
     if (!options_.shuffle) completed_[unit.seq].done = true;
+    if (options_.shuffle && status.ok()) ++units_published_;
     units_done_++;
     if (options_.shuffle) ++start_allowance_;
     stats_.fetch_micros += fetch_us;
@@ -417,6 +418,7 @@ Result<bool> Dataloader::Next(Batch* out) {
     }
     ready_cv_.Wait(mu_);
   }
+  if (options_.shuffle) stats_.units = units_published_;
   if (stalled) {
     int64_t stall = NowMicros() - wait_start;
     stats_.stall_micros += stall;

@@ -89,7 +89,9 @@ struct DataloaderStats {
   uint64_t batches_delivered = 0;
   /// Time Next() spent blocked waiting for the pipeline.
   int64_t stall_micros = 0;
-  /// Work units (chunk-aligned ranges) processed.
+  /// Work units (chunk-aligned ranges) processed: in order mode, units the
+  /// consumer has drained; in shuffle mode, units whose rows all reached
+  /// the shuffle reservoir.
   uint64_t units = 0;
   /// Fetches that failed with a retryable error but succeeded on a retry
   /// (max_transient_retries > 0) — the epoch survived these.
@@ -187,6 +189,9 @@ class Dataloader {
   std::vector<Row> reservoir_ DL_GUARDED_BY(mu_);
   CondVar reservoir_cv_;
   size_t units_done_ DL_GUARDED_BY(mu_) = 0;
+  // Shuffle mode: units whose rows all reached the reservoir; Next()
+  // copies it into stats_.units.
+  uint64_t units_published_ DL_GUARDED_BY(mu_) = 0;
   Status first_error_ DL_GUARDED_BY(mu_);
   bool started_ = false;  // ctor-thread only (Start() runs in the ctor)
   bool abort_ DL_GUARDED_BY(mu_) = false;

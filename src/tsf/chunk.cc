@@ -196,8 +196,8 @@ Result<Chunk> Chunk::Parse(Slice bytes, bool verify_checksum) {
     ByteView frame = bytes.view().subview(
         header.payload_offset,
         bytes.size() - header.payload_offset - 4);
-    // Pooled decode: the buffer returns to the arena when the last sample
-    // slice referencing it drops.
+    // The decoded buffer is freed when the last sample slice referencing
+    // it drops; the default pool counts it while it lives.
     DL_ASSIGN_OR_RETURN(
         decompressed,
         compress::DecompressToSlice(header.chunk_compression, frame));

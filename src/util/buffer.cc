@@ -1,8 +1,5 @@
 #include "util/buffer.h"
 
-#include <algorithm>
-#include <cstring>
-
 namespace dl {
 
 namespace {
@@ -48,56 +45,15 @@ std::shared_ptr<Buffer> Buffer::Allocate(size_t n) {
 // BufferPool
 // ---------------------------------------------------------------------------
 
-BufferPool::BufferPool(size_t max_retained_bytes)
-    : state_(std::make_shared<State>(max_retained_bytes)) {}
-
-void BufferPool::State::Release(ByteBuffer bytes) {
-  MutexLock lock(mu);
-  if (retained + bytes.capacity() > max_retained) return;  // frees on return
-  retained += bytes.capacity();
-  bytes.clear();
-  free_list.push_back(std::move(bytes));
-}
-
-ByteBuffer BufferPool::Acquire(size_t capacity_hint) {
-  state_->acquires.fetch_add(1, std::memory_order_relaxed);
-  {
-    MutexLock lock(state_->mu);
-    // Smallest retained buffer that fits; the list is short (bounded by
-    // max_retained / typical chunk size), so a linear scan is fine.
-    size_t best = SIZE_MAX;
-    for (size_t i = 0; i < state_->free_list.size(); ++i) {
-      size_t cap = state_->free_list[i].capacity();
-      if (cap < capacity_hint) continue;
-      if (best == SIZE_MAX ||
-          cap < state_->free_list[best].capacity()) {
-        best = i;
-      }
-    }
-    if (best != SIZE_MAX) {
-      ByteBuffer out = std::move(state_->free_list[best]);
-      state_->free_list.erase(state_->free_list.begin() +
-                              static_cast<ptrdiff_t>(best));
-      state_->retained -= out.capacity();
-      state_->reuses.fetch_add(1, std::memory_order_relaxed);
-      return out;
-    }
-  }
-  ByteBuffer fresh;
-  fresh.reserve(capacity_hint);
-  return fresh;
-}
+BufferPool::BufferPool() : counters_(std::make_shared<Counters>()) {}
 
 Slice BufferPool::Seal(ByteBuffer bytes) {
-  std::weak_ptr<State> weak_state(state_);
-  uint64_t sealed_size = bytes.size();
-  state_->in_use.fetch_add(sealed_size, std::memory_order_relaxed);
-  auto deleter = [weak_state, sealed_size](Buffer* b) {
+  const uint64_t sealed_size = bytes.size();
+  counters_->acquires.fetch_add(1, std::memory_order_relaxed);
+  counters_->in_use.fetch_add(sealed_size, std::memory_order_relaxed);
+  auto deleter = [counters = counters_, sealed_size](Buffer* b) {
     std::unique_ptr<Buffer> owned(b);
-    if (auto state = weak_state.lock()) {
-      state->in_use.fetch_sub(sealed_size, std::memory_order_relaxed);
-      state->Release(std::move(owned->bytes_));
-    }
+    counters->in_use.fetch_sub(sealed_size, std::memory_order_relaxed);
   };
   return Slice(SharedBuffer(
       std::shared_ptr<Buffer>(new Buffer(std::move(bytes)), deleter)));
@@ -108,21 +64,12 @@ BufferPool& BufferPool::Default() {
   return *pool;
 }
 
-uint64_t BufferPool::reuses() const {
-  return state_->reuses.load(std::memory_order_relaxed);
-}
-
-uint64_t BufferPool::retained_bytes() const {
-  MutexLock lock(state_->mu);
-  return state_->retained;
-}
-
 uint64_t BufferPool::acquires() const {
-  return state_->acquires.load(std::memory_order_relaxed);
+  return counters_->acquires.load(std::memory_order_relaxed);
 }
 
 uint64_t BufferPool::bytes_in_use() const {
-  return state_->in_use.load(std::memory_order_relaxed);
+  return counters_->in_use.load(std::memory_order_relaxed);
 }
 
 }  // namespace dl

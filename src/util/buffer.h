@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "util/bytes.h"
-#include "util/thread_annotations.h"
 
 namespace dl {
 
@@ -69,8 +68,6 @@ class Buffer {
   uint8_t* mutable_data() { return bytes_.data(); }
 
  private:
-  friend class BufferPool;
-
   ByteBuffer bytes_;
 };
 
@@ -189,62 +186,39 @@ class Slice {
 // BufferPool
 // ---------------------------------------------------------------------------
 
-/// Arena-style recycler for decode buffers: chunk decompression acquires a
-/// vector whose capacity was retained from an earlier decode, fills it, and
-/// seals it into a Slice. When the last Slice referencing the sealed buffer
-/// drops, the allocation returns to the pool instead of the allocator —
-/// killing the per-chunk malloc/free churn the flight recorder showed
-/// dominating the decode stage.
+/// Occupancy accounting for decode buffers: chunk decompression fills a
+/// fresh buffer and seals it into an owning Slice here; the pool counts the
+/// sealed bytes still alive and frees each buffer when its last Slice drops.
+/// It keeps no free list: parking released buffers pinned the heap at the
+/// largest number of decoded rows ever live at once (DESIGN.md §10).
 ///
 /// Thread-safe. The pool may be destroyed while sealed buffers are still
-/// alive: each sealed buffer holds only a weak reference to the pool state,
-/// so late releases simply free instead of recycling.
+/// alive: each sealed buffer shares the counters with the pool, so late
+/// releases still balance `bytes_in_use`.
 class BufferPool {
  public:
-  /// `max_retained_bytes` caps the memory parked in the free list; releases
-  /// beyond the cap are freed normally.
-  explicit BufferPool(size_t max_retained_bytes = kDefaultRetainedBytes);
+  BufferPool();
 
-  /// A vector with capacity >= `capacity_hint`, recycled when possible.
-  /// Returned empty (size 0).
-  ByteBuffer Acquire(size_t capacity_hint);
-
-  /// Wraps a filled buffer into an owning Slice whose backing allocation
-  /// returns to this pool when the last reference drops.
+  /// Wraps a filled buffer into an owning Slice, adopting its allocation
+  /// (no copy). The buffer is freed when the last reference drops.
   Slice Seal(ByteBuffer bytes);
 
   /// Process-wide default pool used by the chunk decode path.
   static BufferPool& Default();
 
-  /// Observability for tests/benches and the obs layer's process gauges
-  /// (obs::SampleProcessGauges exports these as `buffer_pool.*`).
-  uint64_t reuses() const;
-  uint64_t retained_bytes() const;
-  /// Total Acquire() calls (reuses + fresh allocations).
+  /// Buffers sealed so far, and the bytes inside sealed buffers whose
+  /// Slices are still alive. obs::SampleProcessGauges exports both as
+  /// `buffer_pool.*` gauges.
   uint64_t acquires() const;
-  /// Bytes inside sealed buffers whose Slices are still alive — the pool's
-  /// live occupancy, distinct from `retained_bytes` (the parked free list).
   uint64_t bytes_in_use() const;
 
-  static constexpr size_t kDefaultRetainedBytes = 64ull << 20;
-
  private:
-  struct State {
-    explicit State(size_t cap) : max_retained(cap) {}
-    const size_t max_retained;
-    mutable Mutex mu{"util.buffer_pool.mu"};
-    std::vector<ByteBuffer> free_list DL_GUARDED_BY(mu);
-    size_t retained DL_GUARDED_BY(mu) = 0;
-    std::atomic<uint64_t> reuses{0};
+  struct Counters {
     std::atomic<uint64_t> acquires{0};
-    // Sealed-and-alive bytes; sealed-buffer deleters decrement via their
-    // weak State reference, so the figure stays honest across pool death.
     std::atomic<uint64_t> in_use{0};
-
-    void Release(ByteBuffer bytes);
   };
 
-  std::shared_ptr<State> state_;
+  std::shared_ptr<Counters> counters_;
 };
 
 }  // namespace dl

@@ -82,51 +82,55 @@ TEST(SliceTest, ToBufferAndToStringAreCounted) {
   EXPECT_EQ(TotalBytesCopied(), before + 512);
 }
 
-TEST(BufferPoolTest, SealedBufferReturnsToPoolAndIsReused) {
-  BufferPool pool(1 << 20);
-  ByteBuffer first = pool.Acquire(1000);
-  first.assign(1000, 0xAA);
-  const uint8_t* alloc = first.data();
+TEST(BufferPoolTest, SealedBufferIsFreedOnLastRelease) {
+  BufferPool pool;
+  ByteBuffer bytes(1000, 0xAA);
+  const uint8_t* alloc = bytes.data();
   {
-    Slice sealed = pool.Seal(std::move(first));
-    EXPECT_EQ(sealed.data(), alloc);
+    Slice sealed = pool.Seal(std::move(bytes));
+    EXPECT_EQ(sealed.data(), alloc);  // adopted, not copied
     EXPECT_EQ(sealed.size(), 1000u);
-  }  // last reference drops -> allocation parked in the pool
-  EXPECT_GE(pool.retained_bytes(), 1000u);
-  ByteBuffer second = pool.Acquire(800);
-  EXPECT_EQ(second.capacity() >= 800, true);
-  EXPECT_EQ(second.data(), alloc);  // recycled, not reallocated
-  EXPECT_EQ(pool.reuses(), 1u);
+    Slice alias = sealed.subslice(10, 20);
+    sealed = Slice();
+    EXPECT_EQ(pool.bytes_in_use(), 1000u);  // the subslice keeps it alive
+    EXPECT_EQ(alias[0], 0xAA);
+  }  // last reference drops -> freed, nothing parked
+  EXPECT_EQ(pool.bytes_in_use(), 0u);
+  EXPECT_EQ(pool.acquires(), 1u);
 }
 
 TEST(BufferPoolTest, SealedSliceSurvivesPoolDestruction) {
   Slice survivor;
   {
-    BufferPool pool(1 << 20);
-    ByteBuffer buf = pool.Acquire(64);
-    buf = Patterned(64, 5);
-    survivor = pool.Seal(std::move(buf));
+    BufferPool pool;
+    survivor = pool.Seal(Patterned(64, 5));
   }  // pool destroyed first; the sealed buffer's release must not explode
   EXPECT_EQ(survivor.size(), 64u);
   EXPECT_EQ(survivor[1], static_cast<uint8_t>(5 + 7));
 }
 
-TEST(BufferPoolTest, DecompressToSliceRoundTripsThroughPool) {
+TEST(BufferPoolTest, DecompressToSliceAccountsLiveBytes) {
   ByteBuffer raw = Patterned(8192, 6);
   auto frame = compress::GetCodec(compress::Compression::kLz77)
                    ->Compress(ByteView(raw), {});
   ASSERT_TRUE(frame.ok());
-  BufferPool pool(1 << 20);
+  BufferPool pool;
   auto s1 = compress::DecompressToSlice(compress::Compression::kLz77,
                                         ByteView(*frame), pool);
   ASSERT_TRUE(s1.ok()) << s1.status();
   EXPECT_EQ(*s1, raw);
-  *s1 = Slice();  // drop the only reference -> allocation back to the pool
+  // Decoded into a buffer of exactly the raw size.
+  EXPECT_EQ(s1->owner()->size(), raw.size());
+  EXPECT_EQ(pool.bytes_in_use(), raw.size());
   auto s2 = compress::DecompressToSlice(compress::Compression::kLz77,
                                         ByteView(*frame), pool);
   ASSERT_TRUE(s2.ok());
   EXPECT_EQ(*s2, raw);
-  EXPECT_GE(pool.reuses(), 1u);
+  EXPECT_EQ(pool.bytes_in_use(), 2 * raw.size());
+  EXPECT_EQ(pool.acquires(), 2u);
+  *s1 = Slice();
+  *s2 = Slice();
+  EXPECT_EQ(pool.bytes_in_use(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -11,9 +11,11 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "compress/codec.h"
+#include "compress/kernels.h"
 #include "util/bytes.h"
 #include "util/coding.h"
 #include "util/crc32.h"
@@ -437,6 +439,255 @@ TEST(Crc32cParityFuzz, RandomSplitPointsCompose) {
 TEST(Crc32cParityFuzz, BackendNameIsKnown) {
   std::string_view b = Crc32cBackend();
   EXPECT_TRUE(b == "sse4.2" || b == "armv8-crc" || b == "software") << b;
+}
+
+
+// ---------------------------------------------------------------------------
+// Codec kernel parity: fast paths against the per-byte reference kernels
+// ---------------------------------------------------------------------------
+// The row-wise Paeth kernels (SIMD for bpp 3 and 4) and the bulk-copy LZ77
+// decoder must agree byte for byte with the original per-byte loops kept in
+// compress/kernels.h — on valid input and, for LZ77, on which corrupt
+// frames they reject. A stored frame written by either must decode the same.
+
+// Plane geometries covering the row-wise edge cases: stride < bpp (no
+// pixel has a left neighbour), width 1 (stride == bpp), rows that are not
+// a whole number of pixels, and a ragged last row.
+struct Geometry {
+  size_t stride;
+  size_t bpp;
+  size_t size;
+};
+
+std::vector<Geometry> PlaneGeometries(Rng& rng) {
+  std::vector<Geometry> out;
+  for (size_t bpp = 1; bpp <= 8; ++bpp) {
+    const size_t strides[] = {1,       bpp > 1 ? bpp - 1 : 1, bpp,
+                              2 * bpp, 7 * bpp + 1,           31 * bpp,
+                              1 + rng.Uniform(200)};
+    for (size_t stride : strides) {
+      const size_t sizes[] = {0, stride - 1, stride, 3 * stride,
+                              5 * stride + 1 + rng.Uniform(stride),
+                              stride * (2 + rng.Uniform(20))};
+      for (size_t n : sizes) out.push_back({stride, bpp, n});
+    }
+  }
+  return out;
+}
+
+std::string Describe(const Geometry& g) {
+  return "stride=" + std::to_string(g.stride) + " bpp=" +
+         std::to_string(g.bpp) + " size=" + std::to_string(g.size);
+}
+
+// Smooth gradients with noise: exercises every Paeth branch, like photos.
+ByteBuffer ImageLike(Rng& rng, size_t n, size_t stride) {
+  ByteBuffer data(n);
+  for (size_t i = 0; i < n; ++i) {
+    size_t row = i / stride, col = i % stride;
+    data[i] = static_cast<uint8_t>(row * 3 + col * 2 + rng.Uniform(9));
+  }
+  return data;
+}
+
+TEST(ImageKernelParity, UnfilterMatchesReference) {
+  Rng rng(0x9ae7);
+  for (const Geometry& g : PlaneGeometries(rng)) {
+    for (int round = 0; round < 2; ++round) {
+      ByteBuffer fast = RandomBuffer(rng, g.size);
+      ByteBuffer ref = fast;
+      compress::UnfilterPlane(fast.data(), fast.size(), g.stride, g.bpp);
+      compress::UnfilterPlaneReference(ref.data(), ref.size(), g.stride,
+                                       g.bpp);
+      ASSERT_EQ(fast, ref) << Describe(g);
+    }
+  }
+}
+
+TEST(ImageKernelParity, FilterResidualsMatchReferenceAndInvert) {
+  Rng rng(0xf17e);
+  for (const Geometry& g : PlaneGeometries(rng)) {
+    for (int round = 0; round < 2; ++round) {
+      ByteBuffer raw = round == 0 ? ImageLike(rng, g.size, g.stride)
+                                  : RandomBuffer(rng, g.size);
+      ByteBuffer fast = compress::FilterPlane(ByteView(raw), g.stride, g.bpp);
+      ByteBuffer ref =
+          compress::FilterPlaneReference(ByteView(raw), g.stride, g.bpp);
+      ASSERT_EQ(fast, ref) << Describe(g);
+      compress::UnfilterPlane(fast.data(), fast.size(), g.stride, g.bpp);
+      ASSERT_EQ(fast, raw) << Describe(g);
+    }
+  }
+}
+
+TEST(ImageKernelParity, QuantizersMatchScalarFormula) {
+  Rng rng(0x9a47);
+  for (int shift = 1; shift <= 7; ++shift) {
+    for (size_t n : {0, 1, 15, 16, 17, 33, 1000}) {
+      ByteBuffer raw = RandomBuffer(rng, n);
+      ByteBuffer quantized(n);
+      compress::QuantizePlane(ByteView(raw), shift, quantized.data());
+      ByteBuffer restored = quantized;
+      compress::DequantizePlane(restored.data(), n, shift);
+      const uint8_t center = static_cast<uint8_t>(1u << (shift - 1));
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(quantized[i], raw[i] >> shift) << shift << " " << i;
+        ASSERT_EQ(restored[i],
+                  static_cast<uint8_t>((quantized[i] << shift) | center))
+            << shift << " " << i;
+      }
+    }
+  }
+}
+
+// Both LZ77 decoders accept or reject `frame` together and, when they
+// accept, produce the same bytes.
+void ExpectLz77Parity(ByteView frame, const std::string& what) {
+  ByteBuffer fast, ref;
+  Status fast_status =
+      GetCodec(Compression::kLz77)->DecompressInto(frame, fast);
+  Status ref_status = compress::Lz77DecompressReference(frame, ref);
+  ASSERT_EQ(fast_status.ok(), ref_status.ok())
+      << what << " fast=" << fast_status << " reference=" << ref_status;
+  if (fast_status.ok()) {
+    ASSERT_EQ(fast, ref) << what;
+  } else {
+    EXPECT_TRUE(fast_status.IsCorruption()) << what << " " << fast_status;
+  }
+}
+
+// Hand-written frames in the codec's layout (see src/compress/lz77.cc), so
+// tests can reach offsets and lengths the encoder rarely emits.
+void PutLengthExtension(ByteBuffer& f, size_t extra) {
+  for (; extra >= 255; extra -= 255) f.push_back(255);
+  f.push_back(static_cast<uint8_t>(extra));
+}
+
+void PutSequence(ByteBuffer& f, ByteView lits, size_t match_len,
+                 size_t offset) {
+  const size_t ml = match_len > 0 ? match_len - 4 : 0;
+  const size_t lit_nibble = std::min<size_t>(lits.size(), 15);
+  const size_t match_nibble = std::min<size_t>(ml, 15);
+  f.push_back(static_cast<uint8_t>(lit_nibble << 4 | match_nibble));
+  if (lit_nibble == 15) PutLengthExtension(f, lits.size() - 15);
+  f.insert(f.end(), lits.begin(), lits.end());
+  if (match_len > 0) {
+    f.push_back(static_cast<uint8_t>(offset));
+    f.push_back(static_cast<uint8_t>(offset >> 8));
+    if (match_nibble == 15) PutLengthExtension(f, ml - 15);
+  }
+}
+
+TEST(Lz77Parity, RandomFramesDecodeIdentically) {
+  Rng rng(0x1277);
+  for (int iter = 0; iter < 120; ++iter) {
+    size_t n = rng.Uniform(iter < 60 ? 300 : 20000);
+    ByteBuffer raw = iter % 3 == 0 ? RandomBuffer(rng, n)
+                                   : CompressibleBuffer(rng, n);
+    auto frame = GetCodec(Compression::kLz77)->Compress(ByteView(raw), {});
+    ASSERT_TRUE(frame.ok());
+    ExpectLz77Parity(ByteView(*frame), "iter=" + std::to_string(iter));
+    auto back = GetCodec(Compression::kLz77)->Decompress(ByteView(*frame));
+    ASSERT_TRUE(back.ok());
+    ASSERT_EQ(*back, raw);
+  }
+}
+
+TEST(Lz77Parity, OverlappingMatchesAndLongLengths) {
+  Rng rng(0x0e71);
+  for (size_t offset = 1; offset <= 16; ++offset) {
+    for (size_t len : {4, 5, 15, 18, 19, 20, 33, 64, 255 + 19, 274, 1000,
+                       3 * 255 + 40}) {
+      ByteBuffer lits = RandomBuffer(rng, offset + rng.Uniform(20));
+      ByteBuffer tail = RandomBuffer(rng, 1 + rng.Uniform(300));
+      // Expected output, built byte by byte.
+      ByteBuffer expect = lits;
+      for (size_t k = 0; k < len; ++k) {
+        expect.push_back(expect[expect.size() - offset]);
+      }
+      expect.insert(expect.end(), tail.begin(), tail.end());
+      ByteBuffer frame;
+      PutVarint64(frame, expect.size());
+      PutSequence(frame, ByteView(lits), len, offset);
+      PutSequence(frame, ByteView(tail), 0, 0);
+      const std::string what =
+          "offset=" + std::to_string(offset) + " len=" + std::to_string(len);
+      ExpectLz77Parity(ByteView(frame), what);
+      auto back = GetCodec(Compression::kLz77)->Decompress(ByteView(frame));
+      ASSERT_TRUE(back.ok()) << what << " " << back.status();
+      ASSERT_EQ(*back, expect) << what;
+    }
+  }
+}
+
+TEST(Lz77Parity, EveryTruncationPoint) {
+  Rng rng(0x7c47);
+  std::vector<ByteBuffer> frames;
+  for (size_t n : {0, 1, 40, 700, 3000}) {
+    auto frame = GetCodec(Compression::kLz77)
+                     ->Compress(ByteView(CompressibleBuffer(rng, n)), {});
+    ASSERT_TRUE(frame.ok());
+    frames.push_back(std::move(*frame));
+  }
+  // Long literal and match extensions, cut inside each extension run.
+  ByteBuffer lits = RandomBuffer(rng, 600);
+  ByteBuffer long_frame;
+  PutVarint64(long_frame, 600 + 900 + 5);
+  PutSequence(long_frame, ByteView(lits), 900, 3);
+  PutSequence(long_frame, ByteView(RandomBuffer(rng, 5)), 0, 0);
+  frames.push_back(long_frame);
+  for (size_t f = 0; f < frames.size(); ++f) {
+    const ByteBuffer& frame = frames[f];
+    for (size_t cut = 0; cut <= frame.size(); ++cut) {
+      ExpectLz77Parity(ByteView(frame.data(), cut),
+                       "frame=" + std::to_string(f) +
+                           " cut=" + std::to_string(cut));
+    }
+  }
+}
+
+TEST(Lz77Parity, BadOffsetsAndOverrunsRejectedAlike) {
+  Rng rng(0xbad0);
+  ByteBuffer lits = RandomBuffer(rng, 10);
+  struct Case {
+    size_t raw_size, match_len, offset;
+  };
+  // 10 literals are out when the match starts.
+  const Case cases[] = {
+      {20, 10, 0},   // offset 0
+      {20, 10, 11},  // reaches before the output
+      {20, 10, 10},  // exactly the output start: valid
+      {20, 11, 1},   // match runs past raw_size
+      {14, 4, 65535},
+      {30, 20, 1},   // valid run
+  };
+  for (const Case& c : cases) {
+    ByteBuffer frame;
+    PutVarint64(frame, c.raw_size);
+    PutSequence(frame, ByteView(lits), c.match_len, c.offset);
+    ExpectLz77Parity(ByteView(frame), "offset=" + std::to_string(c.offset) +
+                                          " len=" +
+                                          std::to_string(c.match_len));
+  }
+  // Literals past raw_size, and a frame that ends before raw_size.
+  for (size_t raw_size : {5, 9, 10, 11, 40}) {
+    ByteBuffer frame;
+    PutVarint64(frame, raw_size);
+    PutSequence(frame, ByteView(lits), 0, 0);
+    ExpectLz77Parity(ByteView(frame), "raw_size=" + std::to_string(raw_size));
+  }
+  // Random byte flips in real frames.
+  ByteBuffer raw = CompressibleBuffer(rng, 2000);
+  auto frame = GetCodec(Compression::kLz77)->Compress(ByteView(raw), {});
+  ASSERT_TRUE(frame.ok());
+  for (int iter = 0; iter < 400; ++iter) {
+    ByteBuffer mutated = *frame;
+    for (int k = 0; k <= iter % 3; ++k) {
+      mutated[rng.Uniform(mutated.size())] ^=
+          static_cast<uint8_t>(1 + rng.Uniform(255));
+    }
+    ExpectLz77Parity(ByteView(mutated), "flip iter=" + std::to_string(iter));
+  }
 }
 
 }  // namespace

@@ -125,6 +125,23 @@ TEST(DataloaderTest, ShuffleIsAPermutationAndShuffled) {
   EXPECT_GT(displacement, 10.0);
 }
 
+TEST(DataloaderTest, UnitsCountedInBothModes) {
+  auto ds = MakeDataset(200, std::make_shared<storage::MemoryStore>(),
+                        /*chunk_bytes=*/8 * 1024);
+  DataloaderOptions opts;
+  opts.batch_size = 16;
+  Dataloader sequential(ds, opts);
+  ASSERT_EQ(DrainLabels(sequential).size(), 200u);
+  const uint64_t units = sequential.stats().units;
+  EXPECT_GT(units, 1u);
+  opts.shuffle = true;
+  opts.shuffle_buffer_rows = 64;
+  Dataloader shuffled(ds, opts);
+  ASSERT_EQ(DrainLabels(shuffled).size(), 200u);
+  // Same chunk-aligned plan, visited in another order.
+  EXPECT_EQ(shuffled.stats().units, units);
+}
+
 TEST(DataloaderTest, ShuffleSeedsDiffer) {
   auto store = std::make_shared<storage::MemoryStore>();
   auto ds = MakeDataset(100, store, 8 * 1024);
