@@ -26,15 +26,18 @@ int main() {
   sim::WorkloadGenerator gen(sim::WorkloadGenerator::SmallJpeg(), 91);
   if (!BuildTsfDataset(base, gen, kImages, "jpeg").ok()) return 1;
 
-  auto s3 = std::make_shared<sim::SimulatedObjectStore>(
-      base, sim::NetworkModel::S3SameRegion());
+  // Instrumented layers count what each simulated S3 serves.
+  auto s3 = std::make_shared<storage::InstrumentedStore>(
+      std::make_shared<sim::SimulatedObjectStore>(
+          base, sim::NetworkModel::S3SameRegion()),
+      "ablation_query_materialize.s3");
   auto ds = tsf::Dataset::Open(s3).MoveValue();
 
   auto stream_view = [&](std::shared_ptr<tsf::Dataset> dataset,
                          const tql::DatasetView* view,
-                         storage::StorageProvider* counted)
+                         const storage::InstrumentedStore& counted)
       -> std::pair<double, uint64_t> {
-    counted->stats().Reset();
+    const uint64_t bytes_before = counted.bytes_read();
     stream::DataloaderOptions opts;
     opts.batch_size = 32;
     opts.num_workers = 6;
@@ -52,13 +55,12 @@ int main() {
       auto more = loader->Next(&batch);
       if (!more.ok() || !*more) break;
     }
-    return {sw.ElapsedSeconds(),
-            counted->stats().bytes_read.load()};
+    return {sw.ElapsedSeconds(), counted.bytes_read() - bytes_before};
   };
 
   Table table({"access", "rows", "epoch", "bytes fetched"});
 
-  auto [full_secs, full_bytes] = stream_view(ds, nullptr, s3.get());
+  auto [full_secs, full_bytes] = stream_view(ds, nullptr, *s3);
   table.AddRow({"full scan", std::to_string(kImages), Secs(full_secs),
                 HumanBytes(full_bytes)});
 
@@ -68,7 +70,7 @@ int main() {
     std::printf("query failed: %s\n", view.status().ToString().c_str());
     return 1;
   }
-  auto [view_secs, view_bytes] = stream_view(ds, &*view, s3.get());
+  auto [view_secs, view_bytes] = stream_view(ds, &*view, *s3);
   table.AddRow({"sparse view (10%)", std::to_string(view->size()),
                 Secs(view_secs), HumanBytes(view_bytes)});
 
@@ -81,10 +83,12 @@ int main() {
     std::printf("materialize failed: %s\n", mat.status().ToString().c_str());
     return 1;
   }
-  auto mat_s3 = std::make_shared<sim::SimulatedObjectStore>(
-      mat_base, sim::NetworkModel::S3SameRegion());
+  auto mat_s3 = std::make_shared<storage::InstrumentedStore>(
+      std::make_shared<sim::SimulatedObjectStore>(
+          mat_base, sim::NetworkModel::S3SameRegion()),
+      "ablation_query_materialize.materialized_s3");
   auto mat_ds = tsf::Dataset::Open(mat_s3).MoveValue();
-  auto [dense_secs, dense_bytes] = stream_view(mat_ds, nullptr, mat_s3.get());
+  auto [dense_secs, dense_bytes] = stream_view(mat_ds, nullptr, *mat_s3);
   table.AddRow({"materialized view", std::to_string((*mat)->NumRows()),
                 Secs(dense_secs), HumanBytes(dense_bytes)});
   table.Print();

@@ -43,9 +43,12 @@ int main() {
     (void)lake->Flush();
   }
 
-  auto scan = [&]() -> std::pair<double, uint64_t> {
-    auto s3 = std::make_shared<sim::SimulatedObjectStore>(
-        base, sim::NetworkModel::S3SameRegion());
+  auto scan = [&](const std::string& layout) -> std::pair<double, uint64_t> {
+    // The instrumented layer counts what the simulated S3 serves.
+    auto s3 = std::make_shared<storage::InstrumentedStore>(
+        std::make_shared<sim::SimulatedObjectStore>(
+            base, sim::NetworkModel::S3SameRegion()),
+        "ablation_rechunk.s3." + layout);
     auto ds = tsf::Dataset::Open(s3).MoveValue();
     stream::DataloaderOptions opts;
     opts.batch_size = 32;
@@ -59,8 +62,7 @@ int main() {
       auto more = loader.Next(&batch);
       if (!more.ok() || !*more) break;
     }
-    return {sw.ElapsedSeconds(), s3->stats().get_requests.load() +
-                                     s3->stats().get_range_requests.load()};
+    return {sw.ElapsedSeconds(), s3->gets() + s3->get_ranges()};
   };
 
   Table table({"layout", "chunks", "scan epoch", "storage requests"});
@@ -70,7 +72,7 @@ int main() {
     chunks_before =
         ds->GetTensor("images").MoveValue()->chunk_encoder().num_chunks();
   }
-  auto [before_secs, before_reqs] = scan();
+  auto [before_secs, before_reqs] = scan("fragmented");
   table.AddRow({"fragmented", std::to_string(chunks_before),
                 Secs(before_secs), std::to_string(before_reqs)});
 
@@ -86,7 +88,7 @@ int main() {
     }
     chunks_after = *result;
   }
-  auto [after_secs, after_reqs] = scan();
+  auto [after_secs, after_reqs] = scan("rechunked");
   table.AddRow({"re-chunked", std::to_string(chunks_after),
                 Secs(after_secs), std::to_string(after_reqs)});
   table.Print();

@@ -167,8 +167,10 @@ class DeepLake {
 
   /// One JSON document describing everything measured so far: the global
   /// obs::MetricsRegistry snapshot (counters/gauges/latency histograms from
-  /// storage, loader, TQL, ingest and sim) plus this lake's base-storage
-  /// request/byte counters. The payload benches embed in BENCH_*.json.
+  /// storage, retries, loader, TQL, ingest and sim) plus the name of this
+  /// lake's storage chain. Request and byte counts live in the registry,
+  /// under whichever InstrumentedStore layers the chain carries. The payload
+  /// benches embed in BENCH_*.json.
   Json MetricsSnapshot() const;
 
   /// Starts a flight recorder (DESIGN.md §7) over the global registry,

@@ -5,8 +5,6 @@
 #include <string>
 
 #include "storage/storage.h"
-#include "util/rng.h"
-#include "util/thread_annotations.h"
 #include "util/thread_pool.h"
 
 namespace dl::sim {
@@ -27,14 +25,6 @@ struct NetworkModel {
   int64_t put_overhead_us = 0;
   /// Divide all sleeps by this to speed up benches while preserving ratios.
   double time_scale = 1.0;
-  /// Probability in [0, 1] that a Get/GetRange/Put fails with
-  /// Status::Transient after paying one TTFB round trip — models the
-  /// 5xx/timeout churn real object stores emit under load. 0 (the default
-  /// in every named profile) keeps existing benches deterministic; raise it
-  /// (and chain a storage::RetryingStore) to study fault recovery.
-  double transient_failure_rate = 0.0;
-  /// Seed for the failure draw, so injected fault sequences reproduce.
-  uint64_t failure_seed = 0x5eed;
 
   int64_t TransferMicros(uint64_t bytes) const {
     double us = first_byte_latency_us +
@@ -88,17 +78,9 @@ class SimulatedObjectStore : public storage::StorageProvider {
   /// holding a concurrency slot.
   void SimulateTransfer(uint64_t bytes, int64_t extra_us = 0);
 
-  /// Draws against the model's transient_failure_rate; a failed draw costs
-  /// one zero-byte round trip (the wasted request) and returns
-  /// Status::Transient.
-  Status MaybeInjectTransientFault();
-
   storage::StoragePtr base_;
   NetworkModel model_;
   Semaphore slots_;
-  // Leaf lock: guards only the failure-draw Rng, never held across sleeps.
-  Mutex fault_mu_{"sim.network_model.fault_mu"};
-  Rng fault_rng_ DL_GUARDED_BY(fault_mu_);
   // Registry instruments (family `sim.net.*`, labeled {net=<label>}):
   // connection-pool queueing and service time, the knobs Fig. 8 varies.
   obs::Gauge* inflight_gauge_;

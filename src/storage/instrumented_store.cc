@@ -76,8 +76,6 @@ Result<Slice> InstrumentedStore::Get(std::string_view key) {
     uint64_t n = result.value().size();
     bytes_read_->Add(n);
     ChargeContextBytesRead(n);
-    stats_.get_requests++;
-    stats_.bytes_read += n;
   }
   return result;
 }
@@ -91,30 +89,20 @@ Result<Slice> InstrumentedStore::GetRange(std::string_view key,
     uint64_t n = result.value().size();
     bytes_read_->Add(n);
     ChargeContextBytesRead(n);
-    stats_.get_range_requests++;
-    stats_.bytes_read += n;
   }
   return result;
 }
 
 Status InstrumentedStore::Put(std::string_view key, ByteView value) {
   DL_INSTRUMENTED_OP(put_, "storage.put", base_->Put(key, value));
-  if (result.ok()) {
-    bytes_written_->Add(value.size());
-    stats_.put_requests++;
-    stats_.bytes_written += value.size();
-  }
+  if (result.ok()) bytes_written_->Add(value.size());
   return result;
 }
 
 Status InstrumentedStore::PutDurable(std::string_view key, ByteView value) {
   DL_INSTRUMENTED_OP(put_, "storage.put_durable",
                      base_->PutDurable(key, value));
-  if (result.ok()) {
-    bytes_written_->Add(value.size());
-    stats_.put_requests++;
-    stats_.bytes_written += value.size();
-  }
+  if (result.ok()) bytes_written_->Add(value.size());
   return result;
 }
 

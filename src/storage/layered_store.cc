@@ -1,74 +1,12 @@
-// PrefixStore, LruCacheStore and FaultInjectionStore: providers that wrap
-// other providers (paper §3.6 "constructs memory caching by chaining various
-// storage providers together").
-
-#include <algorithm>
+// LruCacheStore and FaultInjectionStore: providers that wrap other providers
+// (paper §3.6 "constructs memory caching by chaining various storage
+// providers together").
 
 #include "storage/storage.h"
 #include "util/envelope.h"
 #include "util/macros.h"
-#include "util/string_util.h"
 
 namespace dl::storage {
-
-// ---------------------------------------------------------------------------
-// PrefixStore
-// ---------------------------------------------------------------------------
-
-PrefixStore::PrefixStore(StoragePtr base, std::string prefix)
-    : base_(std::move(base)), prefix_(std::move(prefix)) {}
-
-std::string PrefixStore::Full(std::string_view key) const {
-  return PathJoin(prefix_, key);
-}
-
-Result<Slice> PrefixStore::Get(std::string_view key) {
-  return base_->Get(Full(key));
-}
-
-Result<Slice> PrefixStore::GetRange(std::string_view key, uint64_t offset,
-                                    uint64_t length) {
-  return base_->GetRange(Full(key), offset, length);
-}
-
-Status PrefixStore::Put(std::string_view key, ByteView value) {
-  return base_->Put(Full(key), value);
-}
-
-Status PrefixStore::PutDurable(std::string_view key, ByteView value) {
-  return base_->PutDurable(Full(key), value);
-}
-
-void PrefixStore::Invalidate(std::string_view key) {
-  base_->Invalidate(Full(key));
-}
-
-Status PrefixStore::Delete(std::string_view key) {
-  return base_->Delete(Full(key));
-}
-
-Result<bool> PrefixStore::Exists(std::string_view key) {
-  return base_->Exists(Full(key));
-}
-
-Result<uint64_t> PrefixStore::SizeOf(std::string_view key) {
-  return base_->SizeOf(Full(key));
-}
-
-Result<std::vector<std::string>> PrefixStore::ListPrefix(
-    std::string_view prefix) {
-  DL_ASSIGN_OR_RETURN(std::vector<std::string> keys,
-                      base_->ListPrefix(Full(prefix)));
-  // Strip our namespace so callers see keys relative to this store.
-  std::string ns = prefix_;
-  if (!ns.empty() && ns.back() != '/') ns += '/';
-  std::vector<std::string> out;
-  out.reserve(keys.size());
-  for (auto& k : keys) {
-    if (StartsWith(k, ns)) out.push_back(k.substr(ns.size()));
-  }
-  return out;
-}
 
 // ---------------------------------------------------------------------------
 // LruCacheStore

@@ -30,6 +30,14 @@ RetryingStore::RetryingStore(StoragePtr base, RetryPolicy policy,
       sleep_(sleep ? std::move(sleep) : [](int64_t us) { SleepMicros(us); }),
       rng_(policy.seed) {
   if (policy_.max_attempts < 1) policy_.max_attempts = 1;
+  // Per-instance label, as LruCacheStore builds it: registry counters live
+  // forever, so a shared label would aggregate counts across retry layers.
+  static std::atomic<uint64_t> next_id{0};
+  obs::Labels labels = {{"store", "retry#" + std::to_string(next_id++) + "(" +
+                                      base_->name() + ")"}};
+  auto& registry = obs::MetricsRegistry::Global();
+  attempts_ = registry.GetCounter("storage.retry.attempts", labels);
+  exhausted_ = registry.GetCounter("storage.retry.exhausted", labels);
 }
 
 int64_t RetryingStore::NextBackoffMicros(int retry) {
@@ -53,7 +61,7 @@ auto RetryingStore::WithRetry(const char* op_name, std::string_view key,
   int attempt = 1;
   while (!StatusOf(result).ok() && StatusOf(result).IsRetryable()) {
     if (attempt >= policy_.max_attempts) {
-      stats_.retries_exhausted++;
+      exhausted_->Increment();
       // The retry budget ran dry on a retryable fault: that is an
       // operational event, not just a counter tick. Label it with the op
       // and key so /tracez and EventsJsonl name the failing object.
@@ -64,7 +72,7 @@ auto RetryingStore::WithRetry(const char* op_name, std::string_view key,
               StatusOf(result).ToString());
       break;
     }
-    stats_.retries_attempted++;
+    attempts_->Increment();
     sleep_(NextBackoffMicros(attempt));
     result = op();
     ++attempt;

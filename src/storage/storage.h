@@ -21,31 +21,6 @@
 
 namespace dl::storage {
 
-/// Counters every provider maintains; the benchmarks read these to report
-/// request counts and transferred bytes alongside wall time.
-struct StorageStats {
-  std::atomic<uint64_t> get_requests{0};
-  std::atomic<uint64_t> get_range_requests{0};
-  std::atomic<uint64_t> put_requests{0};
-  std::atomic<uint64_t> bytes_read{0};
-  std::atomic<uint64_t> bytes_written{0};
-  /// Extra attempts issued by a RetryingStore after a retryable failure.
-  std::atomic<uint64_t> retries_attempted{0};
-  /// Operations a RetryingStore gave up on: every attempt failed with a
-  /// retryable error and the per-op attempt budget ran out.
-  std::atomic<uint64_t> retries_exhausted{0};
-
-  void Reset() {
-    get_requests = 0;
-    get_range_requests = 0;
-    put_requests = 0;
-    bytes_read = 0;
-    bytes_written = 0;
-    retries_attempted = 0;
-    retries_exhausted = 0;
-  }
-};
-
 /// Abstract key/value object store (paper §3.6: "Deep Lake can be plugged
 /// into any storage provider"). Keys are '/'-separated paths; values are
 /// immutable blobs (chunks, metadata files).
@@ -109,11 +84,6 @@ class StorageProvider {
 
   /// Human-readable backend name for logs and bench tables.
   virtual std::string name() const = 0;
-
-  StorageStats& stats() { return stats_; }
-
- protected:
-  StorageStats stats_;
 };
 
 using StoragePtr = std::shared_ptr<StorageProvider>;
@@ -169,37 +139,6 @@ class PosixStore : public StorageProvider {
   Status WriteAtomic(std::string_view key, ByteView value, bool sync);
 
   std::string root_;
-};
-
-/// Namespaces all keys under `prefix` inside an underlying provider. Version
-/// control uses this to give each commit its own sub-directory (§4.2).
-class PrefixStore : public StorageProvider {
- public:
-  PrefixStore(StoragePtr base, std::string prefix);
-
-  Result<Slice> Get(std::string_view key) override;
-  Result<Slice> GetRange(std::string_view key, uint64_t offset,
-                         uint64_t length) override;
-  Status Put(std::string_view key, ByteView value) override;
-  Status PutDurable(std::string_view key, ByteView value) override;
-  bool atomic_durable_puts() const override {
-    return base_->atomic_durable_puts();
-  }
-  void Invalidate(std::string_view key) override;
-  Status Delete(std::string_view key) override;
-  Result<bool> Exists(std::string_view key) override;
-  Result<uint64_t> SizeOf(std::string_view key) override;
-  Result<std::vector<std::string>> ListPrefix(
-      std::string_view prefix) override;
-  std::string name() const override {
-    return base_->name() + "/" + prefix_;
-  }
-
- private:
-  std::string Full(std::string_view key) const;
-
-  StoragePtr base_;
-  std::string prefix_;
 };
 
 /// LRU read-through cache chained in front of a slower provider
@@ -365,7 +304,8 @@ struct RetryPolicy {
 ///
 /// Chain it *under* any cache (cache → retry → base): retrying above the
 /// cache would re-count hits and re-fetch objects the cache already holds.
-/// Counters land in stats(): retries_attempted / retries_exhausted.
+/// Counts go to the obs::MetricsRegistry as `storage.retry.attempts` and
+/// `storage.retry.exhausted`, labeled {store=retry#<n>(<base>)}.
 class RetryingStore : public StorageProvider {
  public:
   /// Injectable sleep for tests (runs instantly with a recording lambda);
@@ -393,6 +333,14 @@ class RetryingStore : public StorageProvider {
 
   const RetryPolicy& policy() const { return policy_; }
 
+  // Thin reads of this instance's registry counters; the per-instance label
+  // keeps two retry layers (or consecutive tests) from sharing counts.
+  /// Extra attempts issued after a retryable failure.
+  uint64_t retries_attempted() const { return attempts_->Value(); }
+  /// Operations given up on: every attempt failed with a retryable error
+  /// and the per-op attempt budget ran out.
+  uint64_t retries_exhausted() const { return exhausted_->Value(); }
+
   /// The jittered backoff (µs) for retry number `retry` (1-based). Consumes
   /// one draw from the seeded Rng; exposed so tests can derive the expected
   /// sleep sequence.
@@ -411,6 +359,8 @@ class RetryingStore : public StorageProvider {
   // Leaf lock: guards only the backoff Rng draw, never held across I/O.
   Mutex rng_mu_{"storage.retrying_store.rng_mu"};
   Rng rng_ DL_GUARDED_BY(rng_mu_);
+  obs::Counter* attempts_;
+  obs::Counter* exhausted_;
 };
 
 /// Decorator that publishes per-operation latency histograms, request/byte
@@ -428,6 +378,10 @@ class RetryingStore : public StorageProvider {
 ///   storage.op_us{op=get|get_range|put|delete|exists|size_of|list}
 ///   storage.ops{op=...}   storage.errors{op=...}
 ///   storage.bytes_read    storage.bytes_written
+///
+/// This is the only layer that counts requests and bytes: to count what a
+/// plain or simulated store serves, wrap it in an InstrumentedStore with
+/// its own layer label and read the accessors below.
 class InstrumentedStore : public StorageProvider {
  public:
   /// `layer` names the metrics label; empty uses base->name().
@@ -451,12 +405,30 @@ class InstrumentedStore : public StorageProvider {
 
   const std::string& layer() const { return layer_; }
 
+  // Thin reads of the registry series above. They report per `store` label,
+  // not per instance: two InstrumentedStores built with the same layer share
+  // (and both report) one set of counts. `storage.ops` counts attempts, so
+  // the request counts here are successes: ops minus errors.
+  uint64_t gets() const { return Succeeded(get_); }
+  uint64_t get_ranges() const { return Succeeded(get_range_); }
+  /// Put and PutDurable together (both feed the `put` series).
+  uint64_t puts() const { return Succeeded(put_); }
+  /// Bytes returned by successful Get/GetRange calls.
+  uint64_t bytes_read() const { return bytes_read_->Value(); }
+
  private:
   struct OpInstruments {
     obs::Histogram* latency_us;
     obs::Counter* ops;
     obs::Counter* errors;
   };
+
+  static uint64_t Succeeded(const OpInstruments& ins) {
+    // Errors first: an op bumps `ops` before `errors`, so this order never
+    // reads more errors than ops.
+    uint64_t errors = ins.errors->Value();
+    return ins.ops->Value() - errors;
+  }
 
   OpInstruments MakeOp(const char* op) const;
 

@@ -152,7 +152,7 @@ class Slice {
   const SharedBuffer& owner() const { return buffer_; }
 
   /// Deep copies — counted in TotalBytesCopied(). Hot paths should pass the
-  /// Slice along instead (scripts/check_source.py flags these in hot dirs).
+  /// Slice along instead (dllint flags these in hot dirs).
   ByteBuffer ToBuffer() const {
     internal::AddBytesCopied(size_);
     return ByteBuffer(data_, data_ + size_);

@@ -513,10 +513,11 @@ TEST(InstrumentedStoreTest, CountsOpsBytesAndErrors) {
       reg.GetCounter("storage.bytes_read", {{"store", "test-layer"}})->Value(),
       read0 + payload.size());
   EXPECT_GE(reg.GetHistogram("storage.op_us", get_labels)->Count(), 2u);
-  // The decorator also feeds the classic StorageStats block, which counts
-  // *successful* requests (registry `storage.ops` counts attempts).
-  EXPECT_EQ(store.stats().get_requests.load(), 1u);
-  EXPECT_EQ(store.stats().bytes_read.load(), payload.size());
+  // The accessors read the same series; gets() counts *successful*
+  // requests (registry `storage.ops` counts attempts).
+  EXPECT_EQ(store.gets(), get0 - err0 + 1);
+  EXPECT_EQ(store.puts(), 1u);
+  EXPECT_EQ(store.bytes_read(), read0 + payload.size());
 }
 
 TEST(InstrumentedStoreTest, LruCacheReportsThroughRegistry) {
@@ -546,7 +547,10 @@ TEST(ObsIntegrationTest, EpochSpanTimelineCoversWallTime) {
     tsf::TensorOptions img;
     img.htype = "image";
     img.sample_compression = "none";
-    img.max_chunk_bytes = 1 << 14;  // many chunks -> many fetch spans
+    // The 1 KiB minimum, so 64 samples x 192 B span many chunks (fetch
+    // units): in a one-unit epoch a consumer that reaches Next() after the
+    // fetch never stalls.
+    img.max_chunk_bytes = 1 << 10;
     ASSERT_TRUE(ds.CreateTensor("images", img).ok());
     for (int i = 0; i < 64; ++i) {
       ByteBuffer pixels(8 * 8 * 3, static_cast<uint8_t>(i));

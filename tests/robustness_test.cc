@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/deeplake.h"
-#include "sim/network_model.h"
 #include "storage/storage.h"
 #include "stream/dataloader.h"
 #include "tsf/dataset.h"
@@ -83,9 +82,9 @@ TEST(RetryingStoreTest, RecoversPeriodicFaults) {
     auto got = retry->Get("k");
     ASSERT_TRUE(got.ok()) << got.status();
   }
-  EXPECT_GT(retry->stats().retries_attempted.load(), 0u);
-  EXPECT_EQ(retry->stats().retries_exhausted.load(), 0u);
-  EXPECT_EQ(sleeps.size(), retry->stats().retries_attempted.load());
+  EXPECT_GT(retry->retries_attempted(), 0u);
+  EXPECT_EQ(retry->retries_exhausted(), 0u);
+  EXPECT_EQ(sleeps.size(), retry->retries_attempted());
 }
 
 TEST(RetryingStoreTest, BackoffSequenceIsDeterministicAndJittered) {
@@ -125,8 +124,8 @@ TEST(RetryingStoreTest, ExhaustionSurfacesOriginalError) {
   ASSERT_FALSE(got.ok());
   EXPECT_TRUE(got.status().IsIOError());
   EXPECT_NE(got.status().message().find("injected fault"), std::string::npos);
-  EXPECT_EQ(retry->stats().retries_attempted.load(), 2u);
-  EXPECT_EQ(retry->stats().retries_exhausted.load(), 1u);
+  EXPECT_EQ(retry->retries_attempted(), 2u);
+  EXPECT_EQ(retry->retries_exhausted(), 1u);
 }
 
 TEST(RetryingStoreTest, PermanentErrorsAreNotRetried) {
@@ -135,8 +134,8 @@ TEST(RetryingStoreTest, PermanentErrorsAreNotRetried) {
   auto retry = MakeRecordingRetry(base, FastPolicy(), &sleeps);
   EXPECT_TRUE(retry->Get("missing").status().IsNotFound());
   EXPECT_TRUE(sleeps.empty());
-  EXPECT_EQ(retry->stats().retries_attempted.load(), 0u);
-  EXPECT_EQ(retry->stats().retries_exhausted.load(), 0u);
+  EXPECT_EQ(retry->retries_attempted(), 0u);
+  EXPECT_EQ(retry->retries_exhausted(), 0u);
 }
 
 TEST(RetryingStoreTest, RetriesWritesAndMetadataOps) {
@@ -153,8 +152,8 @@ TEST(RetryingStoreTest, RetriesWritesAndMetadataOps) {
   }
   ASSERT_TRUE(retry->ListPrefix("").ok());
   ASSERT_TRUE(retry->Delete("k0").ok());
-  EXPECT_GT(retry->stats().retries_attempted.load(), 0u);
-  EXPECT_EQ(retry->stats().retries_exhausted.load(), 0u);
+  EXPECT_GT(retry->retries_attempted(), 0u);
+  EXPECT_EQ(retry->retries_exhausted(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -289,36 +288,6 @@ TEST(LruCacheStoreTest, PersistentCorruptionStaysCorruption) {
 }
 
 // ---------------------------------------------------------------------------
-// Simulated transient faults
-// ---------------------------------------------------------------------------
-
-TEST(SimTransientFaultTest, InjectsRetryableFaultsAtConfiguredRate) {
-  auto base = std::make_shared<MemoryStore>();
-  ASSERT_TRUE(base->Put("k", ByteView(std::string_view("v"))).ok());
-  sim::NetworkModel model;  // zero-latency; only the fault path matters
-  model.bandwidth_bytes_per_sec = 1e12;
-  model.transient_failure_rate = 0.5;
-  model.failure_seed = 99;
-  auto sim_store = std::make_shared<sim::SimulatedObjectStore>(base, model);
-  int failures = 0;
-  for (int i = 0; i < 100; ++i) {
-    auto got = sim_store->Get("k");
-    if (!got.ok()) {
-      EXPECT_TRUE(got.status().IsTransient());
-      EXPECT_TRUE(got.status().IsRetryable());
-      ++failures;
-    }
-  }
-  EXPECT_GT(failures, 25);
-  EXPECT_LT(failures, 75);
-  // A RetryingStore on top absorbs them completely.
-  std::vector<int64_t> sleeps;
-  auto retry = MakeRecordingRetry(sim_store, FastPolicy(6), &sleeps);
-  for (int i = 0; i < 50; ++i) ASSERT_TRUE(retry->Get("k").ok());
-  EXPECT_GT(retry->stats().retries_attempted.load(), 0u);
-}
-
-// ---------------------------------------------------------------------------
 // Dataloader epochs over an unreliable store
 // ---------------------------------------------------------------------------
 
@@ -371,6 +340,18 @@ Result<std::vector<int>> Drain(stream::Dataloader& loader) {
   return labels;
 }
 
+/// Sum of every series of counter `name` in a registry SnapshotJson.
+uint64_t SumCounters(const Json& registry, const std::string& name) {
+  const Json& counters = registry.Get("counters");
+  uint64_t total = 0;
+  for (size_t i = 0; i < counters.size(); ++i) {
+    if (counters[i].Get("name").as_string() == name) {
+      total += static_cast<uint64_t>(counters[i].Get("value").as_number());
+    }
+  }
+  return total;
+}
+
 void ExpectExactlyOnce(const std::vector<int>& labels, int n) {
   ASSERT_EQ(labels.size(), static_cast<size_t>(n));
   std::set<int> unique(labels.begin(), labels.end());
@@ -402,8 +383,8 @@ TEST_P(EpochUnderFaultsTest, RetryingStoreDeliversEveryRowExactlyOnce) {
   auto labels = Drain(loader);
   ASSERT_TRUE(labels.ok()) << labels.status();
   ExpectExactlyOnce(*labels, kRows);
-  EXPECT_GT(retry->stats().retries_attempted.load(), 0u);
-  EXPECT_EQ(retry->stats().retries_exhausted.load(), 0u);
+  EXPECT_GT(retry->retries_attempted(), 0u);
+  EXPECT_EQ(retry->retries_exhausted(), 0u);
 }
 
 TEST_P(EpochUnderFaultsTest, LoaderLevelRetriesRecoverWithoutRetryingStore) {
@@ -468,6 +449,9 @@ TEST(DeepLakeRetryTest, OpenWithRetryAbsorbsFaultsEndToEnd) {
     ASSERT_TRUE(lake->Commit("seed data").ok());
   }
   auto faulty = std::make_shared<FaultInjectionStore>(mem, 7);
+  const uint64_t attempts_before =
+      SumCounters(obs::MetricsRegistry::Global().SnapshotJson(),
+                  "storage.retry.attempts");
   DeepLake::OpenOptions oopts;
   oopts.retry_transient_errors = true;
   oopts.retry_policy.initial_backoff_us = 0;  // instant in tests
@@ -482,6 +466,14 @@ TEST(DeepLakeRetryTest, OpenWithRetryAbsorbsFaultsEndToEnd) {
   auto labels = Drain(*loader);
   ASSERT_TRUE(labels.ok()) << labels.status();
   ExpectExactlyOnce(*labels, 40);
+
+  // The retry counts reach the lake's snapshot through the registry, and
+  // the storage block names the retry chain the option installed.
+  Json snapshot = (*lake)->MetricsSnapshot();
+  EXPECT_GT(SumCounters(snapshot.Get("registry"), "storage.retry.attempts"),
+            attempts_before);
+  EXPECT_EQ(snapshot.Get("storage").Get("provider").as_string(),
+            "retry(" + faulty->name() + ")");
 }
 
 }  // namespace

@@ -1,14 +1,19 @@
-// Tests for storage providers: Memory, Posix, Prefix, LRU cache, fault
-// injection. The same behavioural suite runs against every provider via a
-// parameterized fixture (paper §3.6: format is provider-agnostic).
+// Tests for storage providers: Memory, Posix, LRU cache, fault injection,
+// and the contract every decorator keeps with what it wraps. The same
+// behavioural suite runs against every provider via a parameterized fixture
+// (paper §3.6: format is provider-agnostic).
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <functional>
 #include <memory>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
+#include "sim/network_model.h"
 #include "storage/storage.h"
 #include "util/rng.h"
 #include "util/string_util.h"
@@ -142,11 +147,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         ProviderCase{"memory", [] { return std::make_shared<MemoryStore>(); }},
         ProviderCase{"posix", MakePosix},
-        ProviderCase{"prefix",
-                     [] {
-                       return std::make_shared<PrefixStore>(
-                           std::make_shared<MemoryStore>(), "ns/ds1");
-                     }},
         ProviderCase{"lru",
                      [] {
                        return std::make_shared<LruCacheStore>(
@@ -161,12 +161,13 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 
 TEST(LruCacheStoreTest, ServesHitsWithoutBase) {
-  auto base = std::make_shared<MemoryStore>();
+  auto base = std::make_shared<InstrumentedStore>(
+      std::make_shared<MemoryStore>(), "storage_test.lru_hits_base");
   LruCacheStore cache(base, 1 << 20);
   ASSERT_TRUE(cache.Put("k", ByteView(std::string_view("v"))).ok());
-  uint64_t base_gets_before = base->stats().get_requests.load();
+  uint64_t base_gets_before = base->gets();
   for (int i = 0; i < 5; ++i) ASSERT_TRUE(cache.Get("k").ok());
-  EXPECT_EQ(base->stats().get_requests.load(), base_gets_before);
+  EXPECT_EQ(base->gets(), base_gets_before);
   EXPECT_GE(cache.hits(), 5u);
 }
 
@@ -190,14 +191,15 @@ TEST(LruCacheStoreTest, CachedRangeReadTouchesNoBackend) {
   // Regression: GetRange on a cached key used to bypass the cache and hit
   // the base store even though every requested byte was already resident.
   // It must now be served as a zero-copy slice of the cached entry.
-  auto base = std::make_shared<MemoryStore>();
+  auto base = std::make_shared<InstrumentedStore>(
+      std::make_shared<MemoryStore>(), "storage_test.lru_range_base");
   LruCacheStore cache(base, 1 << 20);
   ByteBuffer blob(1000);
   for (size_t i = 0; i < blob.size(); ++i) blob[i] = static_cast<uint8_t>(i);
   ASSERT_TRUE(cache.Put("k", ByteView(blob)).ok());
 
-  uint64_t base_gets = base->stats().get_requests.load();
-  uint64_t base_ranges = base->stats().get_range_requests.load();
+  uint64_t base_gets = base->gets();
+  uint64_t base_ranges = base->get_ranges();
   uint64_t bypasses = cache.range_bypasses();
   uint64_t hits = cache.hits();
 
@@ -208,8 +210,8 @@ TEST(LruCacheStoreTest, CachedRangeReadTouchesNoBackend) {
     EXPECT_EQ((*r)[i], static_cast<uint8_t>(100 + i));
   }
   // Zero backend I/O: neither a Get nor a GetRange reached the base store.
-  EXPECT_EQ(base->stats().get_requests.load(), base_gets);
-  EXPECT_EQ(base->stats().get_range_requests.load(), base_ranges);
+  EXPECT_EQ(base->gets(), base_gets);
+  EXPECT_EQ(base->get_ranges(), base_ranges);
   EXPECT_EQ(cache.range_bypasses(), bypasses);  // not counted as a bypass
   EXPECT_EQ(cache.hits(), hits + 1);            // counted as a hit
   // The slice aliases the cached entry's buffer rather than copying it.
@@ -238,29 +240,6 @@ TEST(LruCacheStoreTest, DeleteInvalidates) {
   ASSERT_TRUE(cache.Put("k", ByteView(std::string_view("v"))).ok());
   ASSERT_TRUE(cache.Delete("k").ok());
   EXPECT_TRUE(cache.Get("k").status().IsNotFound());
-}
-
-// ---------------------------------------------------------------------------
-// PrefixStore namespacing
-// ---------------------------------------------------------------------------
-
-TEST(PrefixStoreTest, NamespacesKeys) {
-  auto base = std::make_shared<MemoryStore>();
-  PrefixStore ns(base, "datasets/mnist");
-  ASSERT_TRUE(ns.Put("meta.json", ByteView(std::string_view("{}"))).ok());
-  EXPECT_TRUE(*base->Exists("datasets/mnist/meta.json"));
-  auto keys = ns.ListPrefix("");
-  ASSERT_TRUE(keys.ok());
-  ASSERT_EQ(keys->size(), 1u);
-  EXPECT_EQ((*keys)[0], "meta.json");
-}
-
-TEST(PrefixStoreTest, SiblingsInvisible) {
-  auto base = std::make_shared<MemoryStore>();
-  PrefixStore a(base, "a");
-  PrefixStore b(base, "b");
-  ASSERT_TRUE(a.Put("k", ByteView(std::string_view("va"))).ok());
-  EXPECT_TRUE(b.Get("k").status().IsNotFound());
 }
 
 // ---------------------------------------------------------------------------
@@ -298,17 +277,55 @@ TEST(PosixStoreTest, AtomicWritesLeaveNoTempResidue) {
   EXPECT_EQ(*store->Get("a/b/durable"), value);
 }
 
+/// One factory per decorator kind, so the contract checks below cover every
+/// provider that wraps another.
+std::vector<std::pair<std::string, std::function<StoragePtr(StoragePtr)>>>
+Decorators() {
+  return {
+      {"lru",
+       [](StoragePtr b) { return std::make_shared<LruCacheStore>(b, 1 << 20); }},
+      {"faulty",
+       [](StoragePtr b) {
+         return std::make_shared<FaultInjectionStore>(b, uint64_t{1} << 30);
+       }},
+      {"retry", [](StoragePtr b) { return std::make_shared<RetryingStore>(b); }},
+      {"instrumented",
+       [](StoragePtr b) {
+         return std::make_shared<InstrumentedStore>(b, "storage_test.contract");
+       }},
+      {"crash",
+       [](StoragePtr b) {
+         return std::make_shared<CrashPointStore>(b, 0, CrashMode::kMissing);
+       }},
+      {"sim",
+       [](StoragePtr b) {
+         return std::make_shared<sim::SimulatedObjectStore>(
+             b, sim::NetworkModel{});  // zero latency
+       }},
+  };
+}
+
 TEST(PosixStoreTest, AdvertisesAtomicDurablePuts) {
   // VersionControl keys its journaled-commit guarantees off this bit: the
   // posix path is rename-atomic, the plain memory store is not.
   EXPECT_TRUE(MakePosix()->atomic_durable_puts());
   EXPECT_FALSE(std::make_shared<MemoryStore>()->atomic_durable_puts());
-  // Decorators must forward the capability of whatever they wrap.
-  EXPECT_TRUE(std::make_shared<PrefixStore>(MakePosix(), "ns")
-                  ->atomic_durable_puts());
-  EXPECT_FALSE(std::make_shared<LruCacheStore>(
-                   std::make_shared<MemoryStore>(), 1 << 20)
-                   ->atomic_durable_puts());
+  // Decorators must forward the capability of whatever they wrap...
+  for (const auto& [label, decorate] : Decorators()) {
+    EXPECT_TRUE(decorate(MakePosix())->atomic_durable_puts()) << label;
+    EXPECT_FALSE(decorate(std::make_shared<MemoryStore>())
+                     ->atomic_durable_puts())
+        << label;
+  }
+  // ...and Invalidate down the chain, or a cache beneath them pins a
+  // corrupt entry that GetVerified can never evict.
+  for (const auto& [label, decorate] : Decorators()) {
+    auto cache = std::make_shared<LruCacheStore>(MakePosix(), 1 << 20);
+    ASSERT_TRUE(cache->Put("k", ByteView(std::string_view("v"))).ok());
+    ASSERT_GT(cache->cached_bytes(), 0u);
+    decorate(cache)->Invalidate("k");
+    EXPECT_EQ(cache->cached_bytes(), 0u) << label;
+  }
 }
 
 TEST(PosixStoreTest, DeleteMissingIsIdempotentButRealErrorsSurface) {
@@ -326,18 +343,18 @@ TEST(PosixStoreTest, DeleteMissingIsIdempotentButRealErrorsSurface) {
 }
 
 // ---------------------------------------------------------------------------
-// Chaining: LRU in front of prefix in front of posix (paper §3.6 chain)
+// Chaining: LRU in front of retry in front of posix (paper §3.6 chain)
 // ---------------------------------------------------------------------------
 
 TEST(ChainingTest, FullChainRoundTrip) {
   auto posix = MakePosix();
-  auto ns = std::make_shared<PrefixStore>(posix, "org/project");
-  auto cache = std::make_shared<LruCacheStore>(ns, 1 << 20);
+  auto retry = std::make_shared<RetryingStore>(posix);
+  auto cache = std::make_shared<LruCacheStore>(retry, 1 << 20);
   ByteBuffer value = BufferFromString("chained payload");
   ASSERT_TRUE(cache->Put("t/chunk0", ByteView(value)).ok());
   EXPECT_EQ(*cache->Get("t/chunk0"), value);
-  // The object actually lives under the prefix on the posix store.
-  EXPECT_TRUE(*posix->Exists("org/project/t/chunk0"));
+  // The object actually lives on the posix store at the bottom.
+  EXPECT_EQ(*posix->Get("t/chunk0"), value);
 }
 
 }  // namespace

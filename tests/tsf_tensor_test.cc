@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "storage/storage.h"
 #include "tsf/dataset.h"
@@ -15,6 +16,12 @@ namespace dl::tsf {
 namespace {
 
 storage::StoragePtr Mem() { return std::make_shared<storage::MemoryStore>(); }
+
+/// A memory store whose requests are counted under the `layer` label.
+std::shared_ptr<storage::InstrumentedStore> CountedMem(
+    const std::string& layer) {
+  return std::make_shared<storage::InstrumentedStore>(Mem(), layer);
+}
 
 Sample Image(uint64_t h, uint64_t w, uint64_t seed) {
   Rng rng(seed);
@@ -166,7 +173,7 @@ TEST(TensorTest, OversizedSampleIsTiled) {
 }
 
 TEST(TensorTest, ReadRegionOnTiledSampleFetchesSubset) {
-  auto store = Mem();
+  auto store = CountedMem("tsf_tensor_test.read_region");
   TensorOptions opts;
   opts.sample_compression = "none";
   opts.max_chunk_bytes = 32 * 1024;
@@ -176,7 +183,7 @@ TEST(TensorTest, ReadRegionOnTiledSampleFetchesSubset) {
   ASSERT_TRUE((*tensor)->Append(big).ok());
   ASSERT_TRUE((*tensor)->Flush().ok());
 
-  uint64_t gets_before = store->stats().get_requests.load();
+  uint64_t gets_before = store->gets();
   auto region = (*tensor)->ReadRegion(0, {10, 20, 0}, {30, 40, 3});
   ASSERT_TRUE(region.ok()) << region.status();
   EXPECT_EQ(region->shape, (TensorShape{30, 40, 3}));
@@ -191,7 +198,7 @@ TEST(TensorTest, ReadRegionOnTiledSampleFetchesSubset) {
   }
   // Only a subset of tile chunks was fetched (tiles are ~100x100; the
   // region touches at most 1 tile + neighbors, not the full grid).
-  uint64_t gets = store->stats().get_requests.load() - gets_before;
+  uint64_t gets = store->gets() - gets_before;
   TileLayout layout = ComputeTileLayout(big.shape, 1, 32 * 1024);
   EXPECT_LT(gets, layout.num_tiles());
 }
@@ -241,7 +248,7 @@ TEST(TensorTest, UpdateRewritesSampleInPlace) {
 }
 
 TEST(TensorTest, UpdateContiguousRewritesEachChunkOnce) {
-  auto store = Mem();
+  auto store = CountedMem("tsf_tensor_test.update_contiguous");
   TensorOptions opts;
   opts.dtype = "int64";
   opts.sample_compression = "none";
@@ -259,9 +266,9 @@ TEST(TensorTest, UpdateContiguousRewritesEachChunkOnce) {
   for (int64_t i = 0; i < 200; ++i) {
     batch.push_back(Sample::Scalar(int64_t{1000 + i}, DType::kInt64));
   }
-  uint64_t puts_before = store->stats().put_requests.load();
+  uint64_t puts_before = store->puts();
   ASSERT_TRUE((*tensor)->UpdateContiguous(60, batch).ok());
-  uint64_t puts = store->stats().put_requests.load() - puts_before;
+  uint64_t puts = store->puts() - puts_before;
   // One rebuild per affected chunk (3) + encoder/meta persistence — far
   // from the ~200 chunk rewrites the per-sample path would issue.
   EXPECT_LE(puts, 10u);

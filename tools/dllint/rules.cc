@@ -337,7 +337,7 @@ void CheckSignalSafety(const RuleContext& ctx, std::vector<Finding>& out) {
 }
 
 // ---------------------------------------------------------------------------
-// Ported scripts/check_source.py rules (token-exact, string/comment-proof)
+// Token rules (token-exact, string/comment-proof)
 // ---------------------------------------------------------------------------
 
 void CheckNakedMutex(const RuleContext& ctx, std::vector<Finding>& out) {
