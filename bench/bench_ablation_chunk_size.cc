@@ -13,9 +13,17 @@ namespace {
 
 constexpr int kImages = 2000;
 
-double Epoch(storage::StoragePtr store, bool shuffle) {
-  auto ds = tsf::Dataset::Open(store);
-  if (!ds.ok()) return -1;
+struct EpochResult {
+  double seconds = -1;
+  uint64_t gets = 0;  // chunk GETs from after Dataset::Open to the drain
+};
+
+EpochResult Epoch(const std::shared_ptr<storage::InstrumentedStore>& s3,
+                  bool shuffle) {
+  EpochResult r;
+  auto ds = tsf::Dataset::Open(s3);
+  if (!ds.ok()) return r;
+  uint64_t gets_before = s3->gets();
   stream::DataloaderOptions opts;
   opts.batch_size = 32;
   opts.num_workers = 6;
@@ -29,7 +37,9 @@ double Epoch(storage::StoragePtr store, bool shuffle) {
     auto more = loader.Next(&batch);
     if (!more.ok() || !*more) break;
   }
-  return sw.ElapsedSeconds();
+  r.seconds = sw.ElapsedSeconds();
+  r.gets = s3->gets() - gets_before;
+  return r;
 }
 
 }  // namespace
@@ -47,7 +57,7 @@ int main() {
          "plateau (the 8MB default sits on it)");
 
   Table table({"chunk target", "chunks", "scan epoch", "shuffled epoch",
-               "GET requests"});
+               "scan GETs", "shuffled GETs"});
   for (uint64_t kb : {uint64_t{64}, uint64_t{256}, uint64_t{1024},
                       uint64_t{4096}, uint64_t{16384}}) {
     auto base = std::make_shared<storage::MemoryStore>();
@@ -87,11 +97,11 @@ int main() {
       chunks = ds->GetTensor("images").MoveValue()->chunk_encoder()
                    .num_chunks();
     }
-    double scan = Epoch(s3, /*shuffle=*/false);
-    double shuffled = Epoch(s3, /*shuffle=*/true);
+    EpochResult scan = Epoch(s3, /*shuffle=*/false);
+    EpochResult shuffled = Epoch(s3, /*shuffle=*/true);
     table.AddRow({std::to_string(kb) + " KB", std::to_string(chunks),
-                  Secs(scan), Secs(shuffled),
-                  std::to_string(s3->gets())});
+                  Secs(scan.seconds), Secs(shuffled.seconds),
+                  std::to_string(scan.gets), std::to_string(shuffled.gets)});
   }
   table.Print();
   if (dl::Status report_st = dl::bench::WriteJsonReport("ablation_chunk_size", table);

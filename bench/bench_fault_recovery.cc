@@ -42,6 +42,9 @@ EpochResult RunEpoch(storage::StoragePtr mem, uint64_t fail_every,
     retry = std::make_shared<storage::RetryingStore>(chain, policy);
     chain = retry;
   }
+  // The retry counters are shared per layer label across runs: count this
+  // run's delta.
+  const uint64_t retries_before = retry ? retry->retries_attempted() : 0;
   EpochResult r;
   auto ds = tsf::Dataset::Open(chain);
   if (!ds.ok()) return r;
@@ -59,7 +62,7 @@ EpochResult RunEpoch(storage::StoragePtr mem, uint64_t fail_every,
   }
   r.seconds = sw.ElapsedSeconds();
   r.completed = r.rows == static_cast<uint64_t>(kImages);
-  if (retry) r.retries = retry->retries_attempted();
+  if (retry) r.retries = retry->retries_attempted() - retries_before;
   return r;
 }
 

@@ -165,19 +165,26 @@ Result<std::string> DeepLake::Transact(
   return landed;
 }
 
+tql::QueryOptions DeepLake::VersionedQueryOptions() const {
+  tql::QueryOptions options;
+  if (vc_) {
+    auto vc = vc_;
+    options.version_resolver =
+        [vc](const std::string& commit)
+        -> Result<std::shared_ptr<tsf::Dataset>> {
+      DL_ASSIGN_OR_RETURN(auto store, vc->StoreAt(commit));
+      return tsf::Dataset::Open(store);
+    };
+  }
+  return options;
+}
+
 Result<tql::DatasetView> DeepLake::QueryAt(const std::string& commit_id,
                                            const std::string& query_text) {
   DL_ASSIGN_OR_RETURN(auto snapshot, At(commit_id));
-  tql::QueryOptions options;
-  auto vc = vc_;
-  options.version_resolver =
-      [vc](const std::string& commit)
-      -> Result<std::shared_ptr<tsf::Dataset>> {
-    DL_ASSIGN_OR_RETURN(auto store, vc->StoreAt(commit));
-    return tsf::Dataset::Open(store);
-  };
   DL_ASSIGN_OR_RETURN(tql::DatasetView view,
-                      tql::RunQuery(snapshot, query_text, options));
+                      tql::RunQuery(snapshot, query_text,
+                                    VersionedQueryOptions()));
   view.PinAtCommit(commit_id);
   return view;
 }
@@ -189,31 +196,12 @@ Result<std::unique_ptr<stream::Dataloader>> DeepLake::DataloaderAt(
 }
 
 Result<tql::DatasetView> DeepLake::Query(const std::string& query_text) {
-  tql::QueryOptions options;
-  if (vc_) {
-    auto vc = vc_;
-    options.version_resolver =
-        [vc](const std::string& commit)
-        -> Result<std::shared_ptr<tsf::Dataset>> {
-      DL_ASSIGN_OR_RETURN(auto store, vc->StoreAt(commit));
-      return tsf::Dataset::Open(store);
-    };
-  }
-  return tql::RunQuery(dataset_, query_text, options);
+  return tql::RunQuery(dataset_, query_text, VersionedQueryOptions());
 }
 
 Result<tql::QueryProfile> DeepLake::ExplainQuery(
     const std::string& query_text) {
-  tql::QueryOptions options;
-  if (vc_) {
-    auto vc = vc_;
-    options.version_resolver =
-        [vc](const std::string& commit)
-        -> Result<std::shared_ptr<tsf::Dataset>> {
-      DL_ASSIGN_OR_RETURN(auto store, vc->StoreAt(commit));
-      return tsf::Dataset::Open(store);
-    };
-  }
+  tql::QueryOptions options = VersionedQueryOptions();
   tql::QueryProfile profile;
   options.profile = &profile;
   DL_RETURN_IF_ERROR(tql::RunQuery(dataset_, query_text, options).status());

@@ -215,6 +215,9 @@ class DeepLake {
  private:
   DeepLake() = default;
   Status ReopenDataset();
+  /// Query options whose version_resolver opens any commit of this lake
+  /// (left unset for a lake without version control).
+  tql::QueryOptions VersionedQueryOptions() const;
 
   storage::StoragePtr base_;
   std::shared_ptr<version::VersionControl> vc_;

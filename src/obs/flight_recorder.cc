@@ -6,38 +6,6 @@
 
 namespace dl::obs {
 
-namespace {
-
-/// Quantile over one interval's bucket deltas, mirroring
-/// Histogram::Quantile (linear interpolation inside the owning bucket).
-/// `fallback_max` stands in for overflow-bucket hits — the per-interval
-/// true max is unknowable from bucket deltas, so the cumulative tracked
-/// max is the best available bound.
-double DeltaQuantile(const std::vector<double>& bounds,
-                     const std::vector<uint64_t>& delta, double q,
-                     double fallback_max) {
-  q = std::clamp(q, 0.0, 1.0);
-  uint64_t total = 0;
-  for (uint64_t c : delta) total += c;
-  if (total == 0) return 0.0;
-  double rank = q * static_cast<double>(total);
-  uint64_t cumulative = 0;
-  for (size_t i = 0; i < delta.size(); ++i) {
-    if (delta[i] == 0) continue;
-    if (static_cast<double>(cumulative + delta[i]) >= rank) {
-      if (i == bounds.size()) return fallback_max;  // overflow bucket
-      double lower = i == 0 ? 0.0 : bounds[i - 1];
-      double upper = bounds[i];
-      double within = (rank - static_cast<double>(cumulative)) / delta[i];
-      return lower + within * (upper - lower);
-    }
-    cumulative += delta[i];
-  }
-  return fallback_max;
-}
-
-}  // namespace
-
 FlightRecorder::FlightRecorder(MetricsRegistry* registry)
     : FlightRecorder(registry, Options()) {}
 
@@ -189,12 +157,14 @@ void FlightRecorder::SampleOnce() {
     uint64_t count_delta = count >= w.prev_count ? count - w.prev_count : 0;
     w.prev_count = count;
     w.prev_buckets = std::move(buckets);
+    // Overflow-bucket hits report the cumulative max: the interval's own
+    // max is unknowable from bucket deltas.
     double max = w.hist->Max();
     s.values[w.alias + "_count"] = static_cast<double>(count_delta);
     s.values[w.alias + "_p50"] =
-        DeltaQuantile(w.hist->bounds(), delta, 0.50, max);
+        BucketQuantile(w.hist->bounds(), delta, 0.50, max);
     s.values[w.alias + "_p99"] =
-        DeltaQuantile(w.hist->bounds(), delta, 0.99, max);
+        BucketQuantile(w.hist->bounds(), delta, 0.99, max);
   }
   samples_.push_back(std::move(s));
   while (samples_.size() > options_.max_samples) {

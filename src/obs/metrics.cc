@@ -45,9 +45,10 @@ std::vector<uint64_t> Histogram::BucketCounts() const {
   return out;
 }
 
-double Histogram::Quantile(double q) const {
+double BucketQuantile(const std::vector<double>& bounds,
+                      const std::vector<uint64_t>& counts, double q,
+                      double overflow_value) {
   q = std::clamp(q, 0.0, 1.0);
-  std::vector<uint64_t> counts = BucketCounts();
   uint64_t total = 0;
   for (uint64_t c : counts) total += c;
   if (total == 0) return 0.0;
@@ -56,16 +57,19 @@ double Histogram::Quantile(double q) const {
   for (size_t i = 0; i < counts.size(); ++i) {
     if (counts[i] == 0) continue;
     if (static_cast<double>(cumulative + counts[i]) >= rank) {
-      if (i == bounds_.size()) return Max();  // overflow bucket
-      double lower = i == 0 ? 0.0 : bounds_[i - 1];
-      double upper = bounds_[i];
-      double within =
-          (rank - static_cast<double>(cumulative)) / counts[i];
+      if (i == bounds.size()) return overflow_value;
+      double lower = i == 0 ? 0.0 : bounds[i - 1];
+      double upper = bounds[i];
+      double within = (rank - static_cast<double>(cumulative)) / counts[i];
       return lower + within * (upper - lower);
     }
     cumulative += counts[i];
   }
-  return Max();
+  return overflow_value;
+}
+
+double Histogram::Quantile(double q) const {
+  return BucketQuantile(bounds_, BucketCounts(), q, Max());
 }
 
 void Histogram::Reset() {

@@ -91,6 +91,16 @@ class Histogram {
   std::atomic<double> max_{0};
 };
 
+/// Value at quantile q in [0, 1] of a distribution given as per-bucket
+/// `counts` over `bounds` (bounds.size() + 1 entries, overflow last),
+/// linearly interpolated inside the owning bucket (the standard
+/// fixed-bucket estimator). A quantile in the overflow bucket reports
+/// `overflow_value`, since its upper edge is unknown. Returns 0 when every
+/// count is zero.
+double BucketQuantile(const std::vector<double>& bounds,
+                      const std::vector<uint64_t>& counts, double q,
+                      double overflow_value);
+
 /// Default latency bucket boundaries in microseconds: powers of two from
 /// 1µs to ~17s (25 buckets). Covers everything from an L2 miss to a very
 /// slow cross-region request with ≤2x quantile error.

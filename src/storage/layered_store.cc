@@ -14,19 +14,21 @@ namespace dl::storage {
 
 LruCacheStore::LruCacheStore(StoragePtr base, uint64_t capacity_bytes)
     : base_(std::move(base)), capacity_bytes_(capacity_bytes) {
-  // Per-instance label: counters are registry-global and live forever, so
-  // sharing one label across caches (or across tests in one binary) would
-  // silently aggregate counts the accessors promise are per-cache.
-  static std::atomic<uint64_t> next_id{0};
-  std::string id = "lru#" + std::to_string(next_id.fetch_add(1)) + "(" +
-                   base_->name() + ")";
+  // Labeled by layer, as InstrumentedStore is: caches over the same base
+  // share one set of series, so short-lived caches never grow the registry.
+  obs::Labels labels = {{"cache", name()}};
   auto& registry = obs::MetricsRegistry::Global();
-  hits_ = registry.GetCounter("storage.lru.hits", {{"cache", id}});
-  misses_ = registry.GetCounter("storage.lru.misses", {{"cache", id}});
-  range_bypasses_ =
-      registry.GetCounter("storage.lru.range_bypasses", {{"cache", id}});
-  bytes_gauge_ =
-      registry.GetGauge("storage.lru.cached_bytes", {{"cache", id}});
+  hits_ = registry.GetCounter("storage.lru.hits", labels);
+  misses_ = registry.GetCounter("storage.lru.misses", labels);
+  range_bypasses_ = registry.GetCounter("storage.lru.range_bypasses", labels);
+  bytes_gauge_ = registry.GetGauge("storage.lru.cached_bytes", labels);
+}
+
+LruCacheStore::~LruCacheStore() {
+  // The gauge sums every cache under this label: take back what this one
+  // still holds.
+  MutexLock lock(mu_);
+  bytes_gauge_->Sub(static_cast<double>(current_bytes_));
 }
 
 void LruCacheStore::Touch(const std::string& key) {
@@ -41,26 +43,27 @@ void LruCacheStore::Insert(const std::string& key, SharedBuffer value) {
   if (value == nullptr || value->size() > capacity_bytes_) {
     return;  // never cache oversize blobs
   }
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    current_bytes_ -= it->second.value->size();
-    lru_.erase(it->second.lru_it);
-    entries_.erase(it);
-  }
+  Erase(key);
   lru_.push_front(key);
   current_bytes_ += value->size();
+  bytes_gauge_->Add(static_cast<double>(value->size()));
   entries_[key] = Entry{std::move(value), lru_.begin()};
   EvictIfNeeded();
-  bytes_gauge_->Set(static_cast<double>(current_bytes_));
+}
+
+void LruCacheStore::Erase(std::string_view key) {
+  auto it = entries_.find(key);
+  if (it == entries_.end()) return;
+  uint64_t size = it->second.value->size();
+  current_bytes_ -= size;
+  bytes_gauge_->Sub(static_cast<double>(size));
+  lru_.erase(it->second.lru_it);  // may free `key`'s bytes; `it` stays valid
+  entries_.erase(it);
 }
 
 void LruCacheStore::EvictIfNeeded() {
   while (current_bytes_ > capacity_bytes_ && !lru_.empty()) {
-    const std::string& victim = lru_.back();
-    auto it = entries_.find(victim);
-    current_bytes_ -= it->second.value->size();
-    entries_.erase(it);
-    lru_.pop_back();
+    Erase(lru_.back());
   }
 }
 
@@ -142,13 +145,7 @@ Status LruCacheStore::PutDurable(std::string_view key, ByteView value) {
 void LruCacheStore::Invalidate(std::string_view key) {
   {
     MutexLock lock(mu_);
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      current_bytes_ -= it->second.value->size();
-      lru_.erase(it->second.lru_it);
-      entries_.erase(it);
-      bytes_gauge_->Set(static_cast<double>(current_bytes_));
-    }
+    Erase(key);
   }
   base_->Invalidate(key);
 }
@@ -156,13 +153,7 @@ void LruCacheStore::Invalidate(std::string_view key) {
 Status LruCacheStore::Delete(std::string_view key) {
   {
     MutexLock lock(mu_);
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      current_bytes_ -= it->second.value->size();
-      lru_.erase(it->second.lru_it);
-      entries_.erase(it);
-      bytes_gauge_->Set(static_cast<double>(current_bytes_));
-    }
+    Erase(key);
   }
   return base_->Delete(key);
 }

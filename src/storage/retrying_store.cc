@@ -30,11 +30,10 @@ RetryingStore::RetryingStore(StoragePtr base, RetryPolicy policy,
       sleep_(sleep ? std::move(sleep) : [](int64_t us) { SleepMicros(us); }),
       rng_(policy.seed) {
   if (policy_.max_attempts < 1) policy_.max_attempts = 1;
-  // Per-instance label, as LruCacheStore builds it: registry counters live
-  // forever, so a shared label would aggregate counts across retry layers.
-  static std::atomic<uint64_t> next_id{0};
-  obs::Labels labels = {{"store", "retry#" + std::to_string(next_id++) + "(" +
-                                      base_->name() + ")"}};
+  // Labeled by layer, as InstrumentedStore is: retry layers over the same
+  // base share one set of series, so short-lived chains never grow the
+  // registry.
+  obs::Labels labels = {{"store", name()}};
   auto& registry = obs::MetricsRegistry::Global();
   attempts_ = registry.GetCounter("storage.retry.attempts", labels);
   exhausted_ = registry.GetCounter("storage.retry.exhausted", labels);

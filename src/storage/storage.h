@@ -147,6 +147,7 @@ class PosixStore : public StorageProvider {
 class LruCacheStore : public StorageProvider {
  public:
   LruCacheStore(StoragePtr base, uint64_t capacity_bytes);
+  ~LruCacheStore() override;
 
   Result<Slice> Get(std::string_view key) override;
   Result<Slice> GetRange(std::string_view key, uint64_t offset,
@@ -168,15 +169,18 @@ class LruCacheStore : public StorageProvider {
   std::string name() const override { return "lru(" + base_->name() + ")"; }
 
   // Hit/miss/bypass counts live in the obs::MetricsRegistry (family
-  // `storage.lru.*`, labeled with this instance's cache id) so bench
-  // reports pick them up with every other metric; these accessors are thin
-  // wrappers over the registry counters for test compatibility.
+  // `storage.lru.*`, labeled `cache=name()`) so bench reports pick them up
+  // with every other metric. These accessors are thin reads of those
+  // series: they report per label, not per instance, so two caches over the
+  // same base share (and both report) one set of counts.
   uint64_t hits() const { return hits_->Value(); }
   uint64_t misses() const { return misses_->Value(); }
   /// Range reads served directly by the base because the full object was
   /// not cached. By design these never populate the cache, so they are not
   /// misses — counting them as such would inflate reported miss rates.
   uint64_t range_bypasses() const { return range_bypasses_->Value(); }
+  /// This instance's resident bytes (the `storage.lru.cached_bytes` gauge
+  /// sums every cache under the label).
   uint64_t cached_bytes() const;
 
  private:
@@ -190,6 +194,8 @@ class LruCacheStore : public StorageProvider {
 
   void Touch(const std::string& key) DL_REQUIRES(mu_);
   void Insert(const std::string& key, SharedBuffer value) DL_REQUIRES(mu_);
+  /// Drops `key`'s entry, if any, from the cache and the bytes gauge.
+  void Erase(std::string_view key) DL_REQUIRES(mu_);
   void EvictIfNeeded() DL_REQUIRES(mu_);
 
   StoragePtr base_;
@@ -202,8 +208,7 @@ class LruCacheStore : public StorageProvider {
   // front = most recently used
   std::list<std::string> lru_ DL_GUARDED_BY(mu_);
   uint64_t current_bytes_ DL_GUARDED_BY(mu_) = 0;
-  // Registry-owned counters; the label carries a per-instance id so two
-  // caches in one process (or consecutive tests) never share counts.
+  // Registry-owned series, shared by every cache with the same name().
   obs::Counter* hits_;
   obs::Counter* misses_;
   obs::Counter* range_bypasses_;
@@ -305,7 +310,7 @@ struct RetryPolicy {
 /// Chain it *under* any cache (cache → retry → base): retrying above the
 /// cache would re-count hits and re-fetch objects the cache already holds.
 /// Counts go to the obs::MetricsRegistry as `storage.retry.attempts` and
-/// `storage.retry.exhausted`, labeled {store=retry#<n>(<base>)}.
+/// `storage.retry.exhausted`, labeled {store=retry(<base>)}.
 class RetryingStore : public StorageProvider {
  public:
   /// Injectable sleep for tests (runs instantly with a recording lambda);
@@ -333,8 +338,8 @@ class RetryingStore : public StorageProvider {
 
   const RetryPolicy& policy() const { return policy_; }
 
-  // Thin reads of this instance's registry counters; the per-instance label
-  // keeps two retry layers (or consecutive tests) from sharing counts.
+  // Thin reads of the `storage.retry.*` series labeled `store=name()`: like
+  // InstrumentedStore's accessors they report per label, not per instance.
   /// Extra attempts issued after a retryable failure.
   uint64_t retries_attempted() const { return attempts_->Value(); }
   /// Operations given up on: every attempt failed with a retryable error

@@ -1,11 +1,8 @@
 #include "stream/dataloader.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <numeric>
 
-#include "obs/export.h"
 #include "obs/trace.h"
 #include "util/clock.h"
 #include "util/macros.h"
@@ -64,12 +61,9 @@ Dataloader::Dataloader(std::shared_ptr<tsf::Dataset> dataset,
     : dataset_(std::move(dataset)),
       options_(std::move(options)),
       shuffle_rng_(options_.seed) {
-  tensors_ = options_.tensors.empty() ? dataset_->TensorNames()
-                                      : options_.tensors;
   std::vector<uint64_t> order(dataset_->NumRows());
-  for (uint64_t i = 0; i < order.size(); ++i) order[i] = i;
-  units_ = PlanUnits(order);
-  Start();
+  std::iota(order.begin(), order.end(), uint64_t{0});
+  Start(order);
 }
 
 Dataloader::Dataloader(std::shared_ptr<tsf::Dataset> dataset,
@@ -78,10 +72,7 @@ Dataloader::Dataloader(std::shared_ptr<tsf::Dataset> dataset,
     : dataset_(std::move(dataset)),
       options_(std::move(options)),
       shuffle_rng_(options_.seed) {
-  tensors_ = options_.tensors.empty() ? dataset_->TensorNames()
-                                      : options_.tensors;
-  units_ = PlanUnits(view.indices());
-  Start();
+  Start(view.indices());
 }
 
 Dataloader::~Dataloader() {
@@ -113,10 +104,8 @@ std::vector<Dataloader::Unit> Dataloader::PlanUnits(
   // Pick the finest-chunked tensor as the primary alignment target: its
   // chunk boundaries dominate fetch cost.
   const tsf::ChunkEncoder* primary = nullptr;
-  for (const auto& name : tensors_) {
-    auto t = dataset_->GetTensor(name);
-    if (!t.ok()) continue;
-    const tsf::ChunkEncoder& enc = (*t)->chunk_encoder();
+  for (const auto& [name, t] : tensors_) {
+    const tsf::ChunkEncoder& enc = t->chunk_encoder();
     if (primary == nullptr || enc.num_chunks() > primary->num_chunks()) {
       primary = &enc;
     }
@@ -148,9 +137,21 @@ std::vector<Dataloader::Unit> Dataloader::PlanUnits(
   return units;
 }
 
-void Dataloader::Start() {
-  if (started_) return;
-  started_ = true;
+void Dataloader::Start(const std::vector<uint64_t>& order) {
+  // A streamed name the dataset lacks becomes first_error_: no unit runs
+  // and the first Next() returns it.
+  for (const std::string& name : options_.tensors.empty()
+                                     ? dataset_->TensorNames()
+                                     : options_.tensors) {
+    auto t = dataset_->GetTensor(name);
+    if (!t.ok()) {
+      MutexLock lock(mu_);
+      first_error_ = t.status();
+      break;
+    }
+    tensors_.emplace_back(name, *t);
+  }
+  units_ = PlanUnits(order);
   auto& registry = obs::MetricsRegistry::Global();
   fetch_hist_ = registry.GetHistogram("loader.fetch_us");
   decode_hist_ = registry.GetHistogram("loader.decode_us");
@@ -232,75 +233,26 @@ void Dataloader::ProcessUnit(const Unit& unit) {
     queued_gauge_->Add(1);
     ready_cv_.NotifyAll();
   };
-  // Bounded re-fetch on retryable storage errors: a transient object-store
-  // fault recovers instead of poisoning the whole epoch. Retries are
-  // immediate — backoff belongs to the RetryingStore decorator underneath;
-  // permanent errors (NotFound, Corruption, ...) still fail fast. Every
-  // transient failure lands on the error-event timeline labeled with the
-  // op and key (`describe` is only invoked on failure — the hot path never
-  // builds the label string).
-  auto fetch_with_retry = [&](const char* op, auto&& describe, auto&& fetch) {
-    auto r = fetch();
-    for (int attempt = 0; attempt < options_.max_transient_retries &&
-                          !r.ok() && r.status().IsRetryable();
-         ++attempt) {
-      obs::RecordErrorEvent(
-          obs::TraceRecorder::Global(), "loader.transient_fetch",
-          "op=" + std::string(op) + " key=" + describe() + " attempt=" +
-              std::to_string(attempt + 1) + " " + r.status().ToString());
-      r = fetch();
-      if (r.ok()) {
-        MutexLock lock(mu_);
-        stats_.transient_errors_recovered++;
-      }
-    }
-    if (!r.ok() && r.status().IsRetryable()) {
-      // Out of budget (or none configured): this failure poisons the epoch.
-      obs::RecordErrorEvent(
-          obs::TraceRecorder::Global(), "loader.fetch_failed",
-          "op=" + std::string(op) + " key=" + describe() + " " +
-              r.status().ToString());
-    }
-    return r;
-  };
-  // Per-unit, per-tensor chunk cache: each chunk is fetched and parsed
-  // once even when it serves many rows.
-  std::map<std::string, std::map<uint64_t, std::shared_ptr<tsf::Chunk>>>
-      cache;
+  // Per-unit chunk cache, indexed like tensors_: each chunk is fetched and
+  // parsed once even when it serves many rows.
+  std::vector<std::map<uint64_t, std::shared_ptr<tsf::Chunk>>> cache(
+      tensors_.size());
   for (uint64_t row_idx : unit.rows) {
     Row row;
-    for (const auto& name : tensors_) {
-      auto tr = dataset_->GetTensor(name);
-      if (!tr.ok()) {
-        status = tr.status();
-        break;
-      }
-      tsf::Tensor* t = *tr;
+    for (size_t k = 0; k < tensors_.size(); ++k) {
+      const std::string& name = tensors_[k].first;
+      tsf::Tensor* t = tensors_[k].second;
       if (row_idx >= t->NumSamples()) {
         row[name] = tsf::Sample::EmptyOf(t->meta().dtype);
         continue;
       }
-      if (t->tile_encoder().IsTiled(row_idx)) {
-        // Tensor-level reads fetch and decode in one call; the whole cost
-        // is attributed to fetch (see DataloaderStats doc).
-        auto s = timed(fetch_hist_, &fetch_us, "loader.fetch",
-                       [&] { return fetch_with_retry("read", [&] {
-                         return name + "[" + std::to_string(row_idx) + "]";
-                       }, [&] { return t->Read(row_idx); }); });
-        if (!s.ok()) {
-          status = s.status();
-          break;
-        }
-        row[name] = std::move(s).value();
-        continue;
-      }
       auto loc = t->chunk_encoder().Find(row_idx);
-      if (!loc.ok()) {
-        // Buffered (unflushed) tail: serve through the tensor.
+      if (!loc.ok() || t->tile_encoder().IsTiled(row_idx)) {
+        // Tiled samples and the buffered (unflushed) tail are served by the
+        // tensor, which fetches and decodes in one call; the whole cost is
+        // attributed to fetch (see DataloaderStats doc).
         auto s = timed(fetch_hist_, &fetch_us, "loader.fetch",
-                       [&] { return fetch_with_retry("read", [&] {
-                         return name + "[" + std::to_string(row_idx) + "]";
-                       }, [&] { return t->Read(row_idx); }); });
+                       [&] { return t->Read(row_idx); });
         if (!s.ok()) {
           status = s.status();
           break;
@@ -308,14 +260,12 @@ void Dataloader::ProcessUnit(const Unit& unit) {
         row[name] = std::move(s).value();
         continue;
       }
-      auto& tensor_cache = cache[name];
+      auto& tensor_cache = cache[k];
       auto it = tensor_cache.find(loc->chunk_id);
       if (it == tensor_cache.end()) {
-        auto bytes = timed(fetch_hist_, &fetch_us, "loader.fetch",
-                           [&] { return fetch_with_retry("chunk_get", [&] {
-                             return t->ChunkKey(loc->chunk_id);
-                           }, [&] { return t->store()->Get(
-                                 t->ChunkKey(loc->chunk_id)); }); });
+        auto bytes = timed(fetch_hist_, &fetch_us, "loader.fetch", [&] {
+          return t->store()->Get(t->ChunkKey(loc->chunk_id));
+        });
         if (!bytes.ok()) {
           status = bytes.status();
           break;
@@ -410,12 +360,6 @@ Result<bool> Dataloader::Next(Batch* out) {
       if (next_seq_ >= units_.size()) break;  // drained
     }
     stalled = true;
-    if (getenv("DL_DEBUG_LOADER") != nullptr) {
-      fprintf(stderr, "[loader] waiting: next_seq=%llu units=%zu done=%zu completed={",
-              (unsigned long long)next_seq_, units_.size(), units_done_);
-      for (auto& [k, v] : completed_) fprintf(stderr, "%llu,", (unsigned long long)k);
-      fprintf(stderr, "} pending=%zu\n", pending_rows_.size());
-    }
     ready_cv_.Wait(mu_);
   }
   if (options_.shuffle) stats_.units = units_published_;

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/context.h"
@@ -52,13 +53,6 @@ struct DataloaderOptions {
   /// Tensors to stream; empty = all visible tensors.
   std::vector<std::string> tensors;
   TransformFn transform;
-  /// Extra fetch attempts per chunk/sample read that fails with a
-  /// retryable status (Status::IsRetryable). 0 (default) preserves
-  /// fail-fast: the first storage error poisons the epoch. Retries are
-  /// immediate — chain a storage::RetryingStore under the dataset for
-  /// backoff between attempts; this knob is the last line of defense when
-  /// even the store-level budget runs out mid-epoch.
-  int max_transient_retries = 0;
   /// Trace context of the owning job (DESIGN.md §7): installed on every
   /// worker while it processes a unit and on the consumer inside Next(),
   /// so loader spans — and the storage spans beneath them — share one
@@ -76,11 +70,10 @@ struct DataloaderOptions {
 ///    Next() calls without synchronization; other threads may not.
 ///
 ///  - *Mutex-guarded (worker-written)*: `fetch_micros`, `decode_micros`,
-///    `transform_micros`, `transient_errors_recovered` are accumulated by
-///    worker threads under the loader mutex. Read them only after the
-///    epoch has drained (Next() returned false, or the loader was
-///    destroyed) — a mid-epoch read from the consumer thread races with
-///    workers.
+///    `transform_micros` are accumulated by worker threads under the
+///    loader mutex. Read them only after the epoch has drained (Next()
+///    returned false, or the loader was destroyed) — a mid-epoch read from
+///    the consumer thread races with workers.
 ///
 /// The per-stage micros sum CPU/IO time *across all workers*: with N
 /// workers their total can legitimately exceed wall time (stages overlap).
@@ -93,9 +86,6 @@ struct DataloaderStats {
   /// consumer has drained; in shuffle mode, units whose rows all reached
   /// the shuffle reservoir.
   uint64_t units = 0;
-  /// Fetches that failed with a retryable error but succeeded on a retry
-  /// (max_transient_retries > 0) — the epoch survived these.
-  uint64_t transient_errors_recovered = 0;
   /// Worker time spent in storage reads (chunk Get + tiled/tail reads;
   /// the tiled/tail path folds its decode into this figure).
   int64_t fetch_micros = 0;
@@ -152,7 +142,9 @@ class Dataloader {
     std::vector<uint64_t> rows;    // dataset row indices
   };
 
-  void Start();
+  /// Resolves the streamed tensors, plans units over `order` (dataset row
+  /// indices) and submits them.
+  void Start(const std::vector<uint64_t>& order) DL_EXCLUDES(mu_);
   void ProcessUnit(const Unit& unit) DL_EXCLUDES(mu_);
 
   /// Builds chunk-aligned work units from the ordered row list.
@@ -160,7 +152,9 @@ class Dataloader {
 
   std::shared_ptr<tsf::Dataset> dataset_;
   DataloaderOptions options_;
-  std::vector<std::string> tensors_;
+  // Streamed (name, tensor) pairs, resolved once in Start(); dataset_
+  // keeps the tensors alive.
+  std::vector<std::pair<std::string, tsf::Tensor*>> tensors_;
   std::vector<Unit> units_;
   std::unique_ptr<ThreadPool> pool_;
 
@@ -193,7 +187,6 @@ class Dataloader {
   // copies it into stats_.units.
   uint64_t units_published_ DL_GUARDED_BY(mu_) = 0;
   Status first_error_ DL_GUARDED_BY(mu_);
-  bool started_ = false;  // ctor-thread only (Start() runs in the ctor)
   bool abort_ DL_GUARDED_BY(mu_) = false;
 
   // Carry-over rows between Next() calls (batch boundary inside a unit).

@@ -523,13 +523,20 @@ TEST(InstrumentedStoreTest, CountsOpsBytesAndErrors) {
 TEST(InstrumentedStoreTest, LruCacheReportsThroughRegistry) {
   auto base = std::make_shared<storage::MemoryStore>();
   auto cache = std::make_shared<storage::LruCacheStore>(base, 1 << 20);
+  auto& reg = MetricsRegistry::Global();
+  obs::Labels labels = {{"cache", cache->name()}};
+  const uint64_t hits0 = reg.GetCounter("storage.lru.hits", labels)->Value();
+  const uint64_t misses0 =
+      reg.GetCounter("storage.lru.misses", labels)->Value();
   ASSERT_TRUE(cache->Put("k", ByteBuffer{9, 9, 9}).ok());
   ASSERT_TRUE(cache->Get("k").ok());  // hit (Put populates)
   ASSERT_TRUE(cache->Get("k").ok());  // hit
-  // The accessors are thin wrappers over per-instance registry counters, so
+  // The accessors are thin reads of the per-label registry counters, so
   // both views must agree.
-  EXPECT_EQ(cache->hits(), 2u);
-  EXPECT_EQ(cache->misses(), 0u);
+  EXPECT_EQ(cache->hits(), hits0 + 2);
+  EXPECT_EQ(cache->misses(), misses0);
+  EXPECT_EQ(reg.GetCounter("storage.lru.hits", labels)->Value(), hits0 + 2);
+  EXPECT_EQ(reg.GetCounter("storage.lru.misses", labels)->Value(), misses0);
 }
 
 // ---- End-to-end: epoch span timeline ----

@@ -166,9 +166,10 @@ TEST(LruCacheStoreTest, ServesHitsWithoutBase) {
   LruCacheStore cache(base, 1 << 20);
   ASSERT_TRUE(cache.Put("k", ByteView(std::string_view("v"))).ok());
   uint64_t base_gets_before = base->gets();
+  uint64_t hits_before = cache.hits();
   for (int i = 0; i < 5; ++i) ASSERT_TRUE(cache.Get("k").ok());
   EXPECT_EQ(base->gets(), base_gets_before);
-  EXPECT_GE(cache.hits(), 5u);
+  EXPECT_EQ(cache.hits(), hits_before + 5);
 }
 
 TEST(LruCacheStoreTest, EvictsLeastRecentlyUsed) {
@@ -223,6 +224,40 @@ TEST(LruCacheStoreTest, CachedRangeReadTouchesNoBackend) {
   auto cold = cache.GetRange("cold", 0, 10);
   ASSERT_TRUE(cold.ok());
   EXPECT_EQ(cache.range_bypasses(), bypasses + 1);
+}
+
+TEST(LruCacheStoreTest, ShortLivedChainsDoNotGrowTheRegistry) {
+  // Retry and LRU series are labeled by layer, not by instance: rebuilding
+  // the same chain reuses its series instead of leaking new ones.
+  auto& registry = obs::MetricsRegistry::Global();
+  auto series = [&registry] {
+    obs::RegistrySnapshot snap = registry.Snapshot();
+    return snap.counters.size() + snap.gauges.size() +
+           snap.histograms.size();
+  };
+  auto base = std::make_shared<MemoryStore>();
+  auto chain = [&base] {
+    return std::make_shared<LruCacheStore>(
+        std::make_shared<RetryingStore>(base), 1 << 20);
+  };
+  obs::Gauge* cached = registry.GetGauge(
+      "storage.lru.cached_bytes", {{"cache", chain()->name()}});
+  const double cached0 = cached->Value();
+  auto first = chain();
+  ASSERT_TRUE(first->Put("k", ByteView(std::string_view("vv"))).ok());
+  const size_t series_after_first = series();
+  for (int i = 0; i < 99; ++i) {
+    auto next = chain();
+    ASSERT_TRUE(next->Put("k", ByteView(std::string_view("vvv"))).ok());
+    ASSERT_TRUE(next->Get("k").ok());
+    // Caches sharing a label sum into one gauge.
+    EXPECT_EQ(cached->Value(), cached0 + 2 + 3);
+  }
+  EXPECT_EQ(series(), series_after_first);
+  // Each destroyed cache took its bytes back out of the shared gauge.
+  EXPECT_EQ(cached->Value(), cached0 + 2);
+  first.reset();
+  EXPECT_EQ(cached->Value(), cached0);
 }
 
 TEST(LruCacheStoreTest, OversizeObjectsBypassCache) {

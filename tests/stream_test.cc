@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <set>
 
@@ -349,6 +350,77 @@ TEST(DataloaderTest, SelectedTensorsOnly) {
   ASSERT_TRUE(*loader.Next(&batch));
   EXPECT_EQ(batch.columns.count("images"), 0u);
   EXPECT_EQ(batch.columns.at("labels").size(), 10u);
+}
+
+/// Appends rows [first, first + n) shaped like MakeDataset's, without a
+/// Flush: they stay in the tensors' open chunks.
+void AppendUnflushed(Dataset& ds, int first, int n) {
+  for (int i = first; i < first + n; ++i) {
+    ByteBuffer pixels(16 * 16 * 3, static_cast<uint8_t>(i % 256));
+    std::map<std::string, Sample> row;
+    row["images"] = Sample(DType::kUInt8, TensorShape{16, 16, 3},
+                           std::move(pixels));
+    row["labels"] = Sample::Scalar(i, DType::kInt32);
+    ASSERT_TRUE(ds.Append(row).ok());
+  }
+}
+
+/// Streams 100 flushed rows plus a 30-row unflushed tail and checks every
+/// row arrives once, whole, with its label matching its image.
+void ExpectUnflushedTailDelivered(bool shuffle) {
+  auto ds = MakeDataset(100, std::make_shared<storage::MemoryStore>(),
+                        /*chunk_bytes=*/8 * 1024);
+  AppendUnflushed(*ds, 100, 30);
+  ASSERT_EQ(ds->NumRows(), 130u);
+  DataloaderOptions opts;
+  opts.batch_size = 8;
+  opts.num_workers = 3;
+  opts.shuffle = shuffle;
+  opts.shuffle_buffer_rows = 16;
+  Dataloader loader(ds, opts);
+  std::vector<int> labels;
+  Batch batch;
+  while (true) {
+    auto more = loader.Next(&batch);
+    ASSERT_TRUE(more.ok()) << more.status();
+    if (!*more) break;
+    for (uint64_t i = 0; i < batch.size; ++i) {
+      int label = static_cast<int>(batch.columns.at("labels")[i].AsInt());
+      const Sample& image = batch.columns.at("images")[i];
+      EXPECT_TRUE(image.shape == (TensorShape{16, 16, 3})) << label;
+      ASSERT_EQ(image.data.size(), 16u * 16 * 3) << label;
+      EXPECT_EQ(image.data[0], static_cast<uint8_t>(label % 256));
+      EXPECT_EQ(image.data[image.data.size() - 1],
+                static_cast<uint8_t>(label % 256));
+      labels.push_back(label);
+    }
+  }
+  ASSERT_EQ(labels.size(), 130u);
+  std::vector<int> sorted = labels;
+  std::sort(sorted.begin(), sorted.end());
+  for (int i = 0; i < 130; ++i) EXPECT_EQ(sorted[i], i);
+  if (!shuffle) {
+    EXPECT_EQ(labels, sorted);
+  }
+}
+
+TEST(DataloaderTest, StreamsUnflushedTailSequential) {
+  ExpectUnflushedTailDelivered(/*shuffle=*/false);
+}
+
+TEST(DataloaderTest, StreamsUnflushedTailShuffled) {
+  ExpectUnflushedTailDelivered(/*shuffle=*/true);
+}
+
+TEST(DataloaderTest, UnknownTensorIsNotFound) {
+  auto ds = MakeDataset(10, std::make_shared<storage::MemoryStore>());
+  DataloaderOptions opts;
+  opts.tensors = {"nope"};
+  Dataloader loader(ds, opts);
+  Batch batch;
+  auto more = loader.Next(&batch);
+  ASSERT_FALSE(more.ok());
+  EXPECT_TRUE(more.status().IsNotFound()) << more.status();
 }
 
 }  // namespace

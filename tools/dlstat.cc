@@ -149,14 +149,16 @@ Scrape ParseMetricsText(const std::string& body) {
   return out;
 }
 
-/// Quantile over the *delta* of two cumulative bucket series (linear
-/// interpolation within the winning bucket, like Prometheus
-/// histogram_quantile). Returns 0 when the interval saw no observations.
+/// Quantile over the *delta* of two cumulative bucket series: first
+/// differences the interval's cumulative counts into per-bucket counts for
+/// obs::BucketQuantile. Overflow hits report the last finite bound. Returns
+/// 0 when the interval saw no observations.
 double DeltaQuantile(const std::vector<std::pair<double, double>>& now,
                      const std::vector<std::pair<double, double>>& prev,
                      double q) {
-  std::vector<std::pair<double, double>> delta;
-  delta.reserve(now.size());
+  std::vector<double> bounds;
+  std::vector<uint64_t> counts;
+  double below = 0;  // interval count in the buckets already visited
   for (const auto& [bound, count] : now) {
     double before = 0;
     for (const auto& [b2, c2] : prev) {
@@ -165,25 +167,15 @@ double DeltaQuantile(const std::vector<std::pair<double, double>>& now,
         break;
       }
     }
-    delta.emplace_back(bound, count - before);
+    double cumulative = count - before;
+    double in_bucket = cumulative - below;
+    below = cumulative;
+    if (bound != HUGE_VAL) bounds.push_back(bound);
+    counts.push_back(
+        in_bucket > 0 ? static_cast<uint64_t>(std::llround(in_bucket)) : 0);
   }
-  if (delta.empty()) return 0;
-  double total = delta.back().second;
-  if (total <= 0) return 0;
-  double target = q * total;
-  double prev_bound = 0, prev_cum = 0;
-  for (const auto& [bound, cum] : delta) {
-    if (cum >= target) {
-      if (bound == HUGE_VAL) return prev_bound;  // overflow bucket
-      double in_bucket = cum - prev_cum;
-      if (in_bucket <= 0) return bound;
-      return prev_bound + (bound - prev_bound) * (target - prev_cum) /
-                              in_bucket;
-    }
-    prev_bound = bound;
-    prev_cum = cum;
-  }
-  return prev_bound;
+  return dl::obs::BucketQuantile(bounds, counts, q,
+                                 bounds.empty() ? 0 : bounds.back());
 }
 
 // ---- Rendering ----
