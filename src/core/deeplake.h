@@ -46,8 +46,8 @@ class DeepLake {
     /// touches it, so transient backend faults (timeouts, 5xx — anything
     /// Status::IsRetryable) are absorbed with capped exponential backoff
     /// instead of failing opens, commits and epoch streams. The retry layer
-    /// sits at the bottom of the decorator chain (cache → prefix → retry →
-    /// base); see DESIGN.md §6.
+    /// sits at the bottom of the decorator chain (cache → retry → base);
+    /// see DESIGN.md §6.
     bool retry_transient_errors = false;
     storage::RetryPolicy retry_policy;
   };
@@ -122,7 +122,7 @@ class DeepLake {
   Result<std::string> Transact(
       const std::function<Status(tsf::Dataset&)>& body,
       const std::string& message,
-      const version::TxnRetryOptions& retry = {});
+      const storage::RetryPolicy& retry = version::TxnRetryPolicy());
 
   // ---- Query (§4.4) ----
 

@@ -39,18 +39,22 @@ RetryingStore::RetryingStore(StoragePtr base, RetryPolicy policy,
   exhausted_ = registry.GetCounter("storage.retry.exhausted", labels);
 }
 
+int64_t BackoffMicros(const RetryPolicy& policy, int retry, double u) {
+  double backoff = static_cast<double>(policy.initial_backoff_us);
+  for (int i = 1; i < retry; ++i) backoff *= policy.multiplier;
+  backoff = std::min(backoff, static_cast<double>(policy.max_backoff_us));
+  // backoff * [1-jitter, 1+jitter), uniformly.
+  double jittered = backoff * (1.0 - policy.jitter + 2.0 * policy.jitter * u);
+  return std::max<int64_t>(0, static_cast<int64_t>(jittered));
+}
+
 int64_t RetryingStore::NextBackoffMicros(int retry) {
-  double backoff = static_cast<double>(policy_.initial_backoff_us);
-  for (int i = 1; i < retry; ++i) backoff *= policy_.multiplier;
-  backoff = std::min(backoff, static_cast<double>(policy_.max_backoff_us));
   double u;
   {
     MutexLock lock(rng_mu_);
     u = rng_.NextDouble();
   }
-  // backoff * [1-jitter, 1+jitter), uniformly.
-  double jittered = backoff * (1.0 - policy_.jitter + 2.0 * policy_.jitter * u);
-  return std::max<int64_t>(0, static_cast<int64_t>(jittered));
+  return BackoffMicros(policy_, retry, u);
 }
 
 template <typename Op>

@@ -297,6 +297,11 @@ struct RetryPolicy {
   uint64_t seed = 0x5eed;
 };
 
+/// The backoff schedule: the jittered sleep (µs) before retry number
+/// `retry` (1-based) under `policy`, given a uniform draw `u` in [0, 1).
+/// RetryingStore and the transaction retry loop (version/mvcc.h) share it.
+int64_t BackoffMicros(const RetryPolicy& policy, int retry, double u);
+
 /// Decorator that absorbs transient faults from the wrapped provider
 /// (paper §4.6 robustness: remote object stores throw 5xx/timeouts
 /// routinely; the streaming loader must not lose an epoch to one).
@@ -346,9 +351,9 @@ class RetryingStore : public StorageProvider {
   /// and the per-op attempt budget ran out.
   uint64_t retries_exhausted() const { return exhausted_->Value(); }
 
-  /// The jittered backoff (µs) for retry number `retry` (1-based). Consumes
-  /// one draw from the seeded Rng; exposed so tests can derive the expected
-  /// sleep sequence.
+  /// BackoffMicros for retry number `retry` (1-based). Consumes one draw
+  /// from the seeded Rng; exposed so tests can derive the expected sleep
+  /// sequence.
   int64_t NextBackoffMicros(int retry);
 
  private:

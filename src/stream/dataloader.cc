@@ -174,7 +174,10 @@ void Dataloader::Start(const std::vector<uint64_t>& order) {
     // logic can be reused for bookkeeping.
     for (size_t k = 0; k < visit.size(); ++k) units_[visit[k]].seq = k;
   }
-  start_allowance_ = std::max<size_t>(1, options_.prefetch_units);
+  {
+    MutexLock lock(mu_);
+    start_allowance_ = std::max<size_t>(1, options_.prefetch_units);
+  }
   pool_ = std::make_unique<ThreadPool>(options_.num_workers);
   for (size_t pos = 0; pos < visit.size(); ++pos) {
     const Unit* unit = &units_[visit[pos]];

@@ -1133,14 +1133,8 @@ Result<std::shared_ptr<tsf::Dataset>> MaterializeView(
       if (!source.empty()) {
         auto src = view.dataset()->GetTensor(source);
         if (src.ok()) {
-          topts.dtype = std::string(tsf::DTypeName((*src)->meta().dtype));
-          topts.sample_compression = std::string(
-              compress::CompressionName((*src)->meta().sample_compression));
-          topts.chunk_compression = std::string(
-              compress::CompressionName((*src)->meta().chunk_compression));
-          topts.max_chunk_bytes = (*src)->meta().max_chunk_bytes;
-          topts.htype =
-              passthrough ? (*src)->meta().htype.ToString() : "generic";
+          topts = (*src)->meta().ToOptions();
+          if (!passthrough) topts.htype = "generic";
           configured = true;
         }
       }

@@ -86,10 +86,12 @@ Result<ChunkHeader> ChunkHeader::Parse(ByteView chunk_prefix) {
 
 ChunkBuilder::ChunkBuilder(DType dtype,
                            compress::Compression sample_compression,
-                           compress::Compression chunk_compression)
+                           compress::Compression chunk_compression,
+                           int quality)
     : dtype_(dtype),
       sample_compression_(sample_compression),
-      chunk_compression_(chunk_compression) {}
+      chunk_compression_(chunk_compression),
+      quality_(quality) {}
 
 Status ChunkBuilder::Append(const Sample& sample) {
   DL_RETURN_IF_ERROR(sample.Validate());
@@ -99,6 +101,7 @@ Status ChunkBuilder::Append(const Sample& sample) {
     stored_lens_.push_back(sample.data.size());
   } else {
     compress::CodecContext ctx = ContextForSample(dtype_, sample.shape);
+    ctx.quality = quality_;
     DL_ASSIGN_OR_RETURN(
         ByteBuffer frame,
         compress::CompressBytes(sample_compression_, ByteView(sample.data),

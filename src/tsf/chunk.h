@@ -6,6 +6,7 @@
 
 #include "compress/codec.h"
 #include "tsf/sample.h"
+#include "tsf/tensor_meta.h"
 
 namespace dl::tsf {
 
@@ -55,8 +56,13 @@ struct ChunkHeader {
 /// Accumulates samples and serializes one chunk object.
 class ChunkBuilder {
  public:
+  /// `quality`: lossy image quality for the sample codec (0 = default).
   ChunkBuilder(DType dtype, compress::Compression sample_compression,
-               compress::Compression chunk_compression);
+               compress::Compression chunk_compression, int quality = 0);
+  /// A builder encoding the way `meta`'s tensor stores its samples.
+  explicit ChunkBuilder(const TensorMeta& meta)
+      : ChunkBuilder(meta.dtype, meta.sample_compression,
+                     meta.chunk_compression, meta.quality) {}
 
   /// Appends a validated sample. With sample compression the cost of the
   /// codec is paid here; the stored length is the compressed length.
@@ -88,6 +94,7 @@ class ChunkBuilder {
   DType dtype_;
   compress::Compression sample_compression_;
   compress::Compression chunk_compression_;
+  int quality_;
   ByteBuffer payload_;
   std::vector<uint64_t> stored_lens_;
   std::vector<TensorShape> shapes_;

@@ -33,8 +33,7 @@ uint64_t FreshChunkIdBase() {
 Tensor::Tensor(storage::StoragePtr store, TensorMeta meta)
     : store_(std::move(store)), meta_(std::move(meta)) {
   next_chunk_id_ = FreshChunkIdBase();
-  open_chunk_ = std::make_unique<ChunkBuilder>(
-      meta_.dtype, meta_.sample_compression, meta_.chunk_compression);
+  open_chunk_ = std::make_unique<ChunkBuilder>(meta_);
 }
 
 std::string Tensor::ChunkKey(uint64_t chunk_id) const {
@@ -135,8 +134,7 @@ Status Tensor::AppendInternal(const Sample& sample, ByteView precompressed) {
   return Status::OK();
 }
 
-Status Tensor::AppendTiled(const Sample& sample) {
-  uint64_t index = NumSamples();
+Result<TileLayout> Tensor::WriteTiles(const Sample& sample) {
   TileLayout layout = ComputeTileLayout(sample.shape, DTypeSize(meta_.dtype),
                                         meta_.max_chunk_bytes);
   uint64_t tiles = layout.num_tiles();
@@ -146,8 +144,7 @@ Status Tensor::AppendTiled(const Sample& sample) {
   for (uint64_t t = 0; t < tiles; ++t) {
     ByteBuffer tile_bytes = ExtractTile(sample, layout, coord);
     TensorShape tile_shape = layout.TileShapeAt(coord);
-    ChunkBuilder builder(meta_.dtype, meta_.sample_compression,
-                         meta_.chunk_compression);
+    ChunkBuilder builder(meta_);
     DL_RETURN_IF_ERROR(
         builder.Append(Sample(meta_.dtype, tile_shape, std::move(tile_bytes))));
     DL_ASSIGN_OR_RETURN(ByteBuffer obj, builder.Finish());
@@ -160,6 +157,12 @@ Status Tensor::AppendTiled(const Sample& sample) {
       coord[d] = 0;
     }
   }
+  return layout;
+}
+
+Status Tensor::AppendTiled(const Sample& sample) {
+  uint64_t index = NumSamples();
+  DL_ASSIGN_OR_RETURN(TileLayout layout, WriteTiles(sample));
   // The sample still occupies one slot in the chunk stream: an empty
   // placeholder keeps the chunk encoder a bijection over sample indices.
   DL_RETURN_IF_ERROR(open_chunk_->Append(Sample::EmptyOf(meta_.dtype)));
@@ -427,25 +430,7 @@ Status Tensor::Update(uint64_t index, const Sample& sample) {
   if (tile_encoder_.IsTiled(index)) tile_encoder_.Remove(index);
   if (raw_bytes > meta_.max_chunk_bytes &&
       !meta_.htype.exempt_from_tiling()) {
-    TileLayout layout = ComputeTileLayout(
-        sample.shape, DTypeSize(meta_.dtype), meta_.max_chunk_bytes);
-    std::vector<uint64_t> coord(layout.grid.size(), 0);
-    for (uint64_t t = 0; t < layout.num_tiles(); ++t) {
-      ByteBuffer tile_bytes = ExtractTile(sample, layout, coord);
-      ChunkBuilder builder(meta_.dtype, meta_.sample_compression,
-                           meta_.chunk_compression);
-      DL_RETURN_IF_ERROR(builder.Append(
-          Sample(meta_.dtype, layout.TileShapeAt(coord),
-                 std::move(tile_bytes))));
-      DL_ASSIGN_OR_RETURN(ByteBuffer obj, builder.Finish());
-      uint64_t id = NextChunkId();
-      DL_RETURN_IF_ERROR(store_->Put(ChunkKey(id), ByteView(obj)));
-      layout.chunk_ids.push_back(id);
-      for (size_t d = layout.grid.size(); d-- > 0;) {
-        if (++coord[d] < layout.grid[d]) break;
-        coord[d] = 0;
-      }
-    }
+    DL_ASSIGN_OR_RETURN(TileLayout layout, WriteTiles(sample));
     tile_encoder_.Set(index, std::move(layout));
     // Replace the stored slot with an empty placeholder.
     DL_RETURN_IF_ERROR(RewriteSampleInChunk(index, Sample::EmptyOf(meta_.dtype)));
@@ -501,8 +486,7 @@ Status Tensor::UpdateContiguous(uint64_t start,
     }
     take = dense;  // >= 1: samples[i] itself passed the checks above
     DL_ASSIGN_OR_RETURN(std::shared_ptr<Chunk> chunk, FetchChunk(loc.chunk_id));
-    ChunkBuilder builder(meta_.dtype, meta_.sample_compression,
-                         meta_.chunk_compression);
+    ChunkBuilder builder(meta_);
     for (uint64_t j = 0; j < loc.chunk_samples; ++j) {
       if (j >= loc.local_index && j < loc.local_index + take) {
         DL_RETURN_IF_ERROR(builder.Append(samples[i + (j - loc.local_index)]));
@@ -531,8 +515,7 @@ Status Tensor::UpdateContiguous(uint64_t start,
 Status Tensor::RewriteSampleInChunk(uint64_t index, const Sample& sample) {
   DL_ASSIGN_OR_RETURN(ChunkEncoder::Location loc, chunk_encoder_.Find(index));
   DL_ASSIGN_OR_RETURN(std::shared_ptr<Chunk> chunk, FetchChunk(loc.chunk_id));
-  ChunkBuilder builder(meta_.dtype, meta_.sample_compression,
-                       meta_.chunk_compression);
+  ChunkBuilder builder(meta_);
   for (uint64_t i = 0; i < loc.chunk_samples; ++i) {
     if (i == loc.local_index) {
       DL_RETURN_IF_ERROR(builder.Append(sample));
@@ -556,8 +539,7 @@ Result<size_t> Tensor::Rechunk() {
   DL_RETURN_IF_ERROR(Flush());
   uint64_t n = chunk_encoder_.num_samples();
   ChunkEncoder new_encoder;
-  ChunkBuilder builder(meta_.dtype, meta_.sample_compression,
-                       meta_.chunk_compression);
+  ChunkBuilder builder(meta_);
   uint64_t pending = 0;
   auto seal = [&]() -> Status {
     if (pending == 0) return Status::OK();

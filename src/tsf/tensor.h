@@ -112,6 +112,9 @@ class Tensor {
 
   Status AppendInternal(const Sample& sample, ByteView precompressed);
   Status AppendTiled(const Sample& sample);
+  /// Writes each tile of an oversized sample as its own chunk; returns the
+  /// layout naming them.
+  Result<TileLayout> WriteTiles(const Sample& sample);
   Status RewriteSampleInChunk(uint64_t index, const Sample& sample);
   // Region copies write into a caller-owned staging buffer (`out_data`,
   // shaped `out_shape`); the caller seals the buffer into the result

@@ -77,6 +77,20 @@ Result<TensorMeta> TensorMeta::FromOptions(const std::string& name,
   return m;
 }
 
+TensorOptions TensorMeta::ToOptions() const {
+  TensorOptions o;
+  o.htype = htype.ToString();
+  o.dtype = std::string(DTypeName(dtype));
+  o.sample_compression =
+      std::string(compress::CompressionName(sample_compression));
+  o.chunk_compression =
+      std::string(compress::CompressionName(chunk_compression));
+  o.max_chunk_bytes = max_chunk_bytes;
+  o.hidden = hidden;
+  o.quality = quality;
+  return o;
+}
+
 Status TensorMeta::ValidateSample(const Sample& sample) const {
   DL_RETURN_IF_ERROR(sample.Validate());
   if (sample.shape.IsEmptySample()) return Status::OK();  // sparse padding

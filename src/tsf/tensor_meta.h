@@ -49,6 +49,10 @@ struct TensorMeta {
   /// Resolves user options against htype defaults.
   static Result<TensorMeta> FromOptions(const std::string& name,
                                         const TensorOptions& options);
+  /// The options that recreate this tensor elsewhere (merge, rebase,
+  /// materialization): every field, resolved — FromOptions(ToOptions())
+  /// yields this meta with length 0.
+  TensorOptions ToOptions() const;
 
   /// Checks a sample against the htype expectations and dtype. Empty
   /// samples (sparse padding) always pass.

@@ -15,10 +15,6 @@ namespace dl::version {
 
 namespace {
 
-bool IsTempDebris(std::string_view key) {
-  return key.find(".dltmp.") != std::string_view::npos;
-}
-
 bool IsChunkKey(std::string_view key) {
   return key.find("/chunks/") != std::string_view::npos;
 }

@@ -49,6 +49,12 @@ inline bool IsVersionManifestName(std::string_view rel_key) {
          rel_key == "commit.json" || rel_key == "txn.json";
 }
 
+/// Temp-file debris from an interrupted atomic rename (PosixStore): never
+/// part of a key set or worth preserving.
+inline bool IsTempDebris(std::string_view key) {
+  return key.find(".dltmp.") != std::string_view::npos;
+}
+
 /// Extracts the commit id from a full key "versions/<id>/..."; empty when
 /// the key is not inside a version directory.
 inline std::string VersionDirIdOf(std::string_view full_key) {

@@ -102,6 +102,14 @@ Footprint FootprintFromDiffJson(const Json& j) {
   return fp;
 }
 
+/// The dataset of a staging commit, created empty when its base has none.
+Result<std::shared_ptr<tsf::Dataset>> OpenOrCreateDataset(
+    storage::StoragePtr store) {
+  auto open = tsf::Dataset::Open(store);
+  if (!open.status().IsNotFound()) return open;
+  return tsf::Dataset::Create(store);
+}
+
 obs::Counter* TxnCounter(const char* name) {
   return obs::MetricsRegistry::Global().GetCounter(name);
 }
@@ -236,33 +244,8 @@ Result<std::string> VersionControl::SealStagedLocked(
           "branch '" + branch + "' has uncommitted working-head changes; "
           "commit or discard them before publishing transactions");
     }
-    it->second.committed = true;
-    it->second.staged = false;
-    it->second.message = message;
-    it->second.branch = branch;
-    it->second.timestamp_us = NowMicros();
   }
-  // Journaled seal (DESIGN.md §9/§12): manifests first, then the commit
-  // record — the single commit point. The txn marker is removed right
-  // before the record, so up to the very last write the directory is
-  // GC-able debris, and after it the commit is fully published.
-  Status js = [&]() -> Status {
-    DL_RETURN_IF_ERROR(PersistKeySet(txn_id));
-    DL_RETURN_IF_ERROR(WriteDiffFile(txn_id));
-    DL_RETURN_IF_ERROR(RemoveTxnMarker(txn_id));
-    return WriteCommitRecord(txn_id);
-  }();
-  if (!js.ok()) {
-    // The record may or may not have landed; put the in-memory state back
-    // to "staged" and let recovery arbitrate on the next open.
-    MutexLock lock(mu_);
-    auto it = commits_.find(txn_id);
-    if (it != commits_.end()) {
-      it->second.committed = false;
-      it->second.staged = true;
-    }
-    return js;
-  }
+  DL_RETURN_IF_ERROR(SealLocked(txn_id, branch, message));
   {
     // Splice the branch's working head onto the published commit — the
     // same reparenting recovery performs when a publish crashes after its
@@ -386,28 +369,13 @@ Result<std::string> VersionControl::PublishTxn(const std::string& txn_id,
     if (src_open.status().IsNotFound()) return Status::OK();  // empty txn
     if (!src_open.ok()) return src_open.status();
     std::shared_ptr<tsf::Dataset> src = std::move(src_open).value();
-    std::shared_ptr<tsf::Dataset> tgt;
-    auto tgt_open = tsf::Dataset::Open(tgt_store);
-    if (tgt_open.ok()) {
-      tgt = std::move(tgt_open).value();
-    } else if (tgt_open.status().IsNotFound()) {
-      DL_ASSIGN_OR_RETURN(tgt, tsf::Dataset::Create(tgt_store));
-    } else {
-      return tgt_open.status();
-    }
+    DL_ASSIGN_OR_RETURN(auto tgt, OpenOrCreateDataset(tgt_store));
     // Tensors created by this transaction.
     for (const auto& name : src->TensorNames()) {
       if (tgt->HasTensor(name)) continue;
       DL_ASSIGN_OR_RETURN(tsf::Tensor * st, src->GetTensor(name));
-      tsf::TensorOptions opts;
-      opts.htype = st->meta().htype.ToString();
-      opts.dtype = std::string(tsf::DTypeName(st->meta().dtype));
-      opts.sample_compression = std::string(
-          compress::CompressionName(st->meta().sample_compression));
-      opts.chunk_compression = std::string(
-          compress::CompressionName(st->meta().chunk_compression));
-      opts.max_chunk_bytes = st->meta().max_chunk_bytes;
-      DL_RETURN_IF_ERROR(tgt->CreateTensor(name, opts).status());
+      DL_RETURN_IF_ERROR(
+          tgt->CreateTensor(name, st->meta().ToOptions()).status());
     }
     // Rows this transaction appended. If it appended at all, its
     // `_sample_id` footprint overlapped any concurrent appender's, so
@@ -491,16 +459,9 @@ Result<tsf::Dataset*> WriteTxn::dataset() {
     return Status::FailedPrecondition("transaction already finished");
   }
   if (!dataset_) {
-    auto store = std::static_pointer_cast<storage::StorageProvider>(
-        std::make_shared<VersionedStore>(vc_, id_, /*writable=*/true));
-    auto open = tsf::Dataset::Open(store);
-    if (open.ok()) {
-      dataset_ = std::move(open).value();
-    } else if (open.status().IsNotFound()) {
-      DL_ASSIGN_OR_RETURN(dataset_, tsf::Dataset::Create(store));
-    } else {
-      return open.status();
-    }
+    DL_ASSIGN_OR_RETURN(dataset_,
+                        OpenOrCreateDataset(std::make_shared<VersionedStore>(
+                            vc_, id_, /*writable=*/true)));
   }
   return dataset_.get();
 }
@@ -529,28 +490,27 @@ Status WriteTxn::Abort() {
 // Retry loop
 // ---------------------------------------------------------------------------
 
+storage::RetryPolicy TxnRetryPolicy() {
+  storage::RetryPolicy policy;
+  policy.max_attempts = 8;
+  policy.initial_backoff_us = 500;
+  policy.max_backoff_us = 64000;
+  policy.seed = Mix64(static_cast<uint64_t>(NowMicros()));
+  return policy;
+}
+
 Result<std::string> CommitWithTxnRetries(
     std::shared_ptr<VersionControl> vc, const TxnOptions& topts,
     const std::function<Status(tsf::Dataset&)>& body,
-    const std::string& message, const TxnRetryOptions& ropts) {
+    const std::string& message, const storage::RetryPolicy& policy) {
   auto* retries = TxnCounter("version.txn.retries");
-  Rng rng(ropts.seed != 0 ? ropts.seed
-                          : Mix64(static_cast<uint64_t>(NowMicros())));
-  uint64_t backoff = std::max<uint64_t>(1, ropts.initial_backoff_us);
+  Rng rng(policy.seed);
   Status last = Status::Unknown("transaction never attempted");
-  int attempts = std::max(1, ropts.max_attempts);
+  int attempts = std::max(1, policy.max_attempts);
   for (int attempt = 0; attempt < attempts; ++attempt) {
     if (attempt > 0) {
       retries->Increment();
-      double spread = 1.0 + ropts.jitter * (2.0 * rng.NextDouble() - 1.0);
-      uint64_t us = static_cast<uint64_t>(
-          static_cast<double>(backoff) * std::max(0.0, spread));
-      SleepMicros(static_cast<int64_t>(
-          std::min<uint64_t>(std::max<uint64_t>(us, 1), ropts.max_backoff_us)));
-      backoff = std::min<uint64_t>(
-          static_cast<uint64_t>(static_cast<double>(backoff) *
-                                ropts.multiplier),
-          ropts.max_backoff_us);
+      SleepMicros(storage::BackoffMicros(policy, attempt, rng.NextDouble()));
     }
     DL_ASSIGN_OR_RETURN(auto txn, WriteTxn::Begin(vc, topts));
     DL_ASSIGN_OR_RETURN(tsf::Dataset * ds, txn->dataset());

@@ -19,21 +19,11 @@ struct TxnOptions {
   std::string branch = {};
 };
 
-/// Backoff policy for CommitWithTxnRetries. Conflicts are retryable by
-/// definition (Status::IsRetryable): every retry re-runs the body against
-/// the new head, so a bounded exponential backoff with jitter converges
-/// quickly even under heavy writer contention.
-struct TxnRetryOptions {
-  int max_attempts = 8;
-  uint64_t initial_backoff_us = 500;
-  uint64_t max_backoff_us = 64000;
-  double multiplier = 2.0;
-  /// Fraction of the backoff randomized (0.25 = +-25%), de-synchronizing
-  /// writers that conflicted on the same head.
-  double jitter = 0.25;
-  /// Seed for the jitter RNG; 0 picks one from the clock.
-  uint64_t seed = 0;
-};
+/// The default backoff for CommitWithTxnRetries and DeepLake::Transact:
+/// 8 attempts, 500 µs doubling up to 64 ms, ±25% jitter, and a seed drawn
+/// from the clock on every call, so writers that conflicted on the same
+/// head do not back off in lockstep.
+storage::RetryPolicy TxnRetryPolicy();
 
 /// An optimistic write transaction over the commit graph (DESIGN.md §12).
 ///
@@ -103,13 +93,14 @@ class WriteTxn {
 
 /// Runs `body` inside a WriteTxn and publishes it, retrying the whole
 /// transaction (fresh base, fresh staging commit, body re-run) on
-/// Status::Conflict with capped exponential backoff. Returns the landed
-/// commit id, or the last error when attempts are exhausted or the body /
-/// publish fails with a non-conflict error.
+/// Status::Conflict, sleeping storage::BackoffMicros of `policy` between
+/// attempts. Returns the landed commit id, or the last error when attempts
+/// are exhausted or the body / publish fails with a non-conflict error.
 Result<std::string> CommitWithTxnRetries(
     std::shared_ptr<VersionControl> vc, const TxnOptions& topts,
     const std::function<Status(tsf::Dataset&)>& body,
-    const std::string& message, const TxnRetryOptions& ropts = {});
+    const std::string& message,
+    const storage::RetryPolicy& policy = TxnRetryPolicy());
 
 }  // namespace dl::version
 

@@ -11,16 +11,6 @@
 
 namespace dl::version {
 
-namespace {
-
-/// Temp-file debris from an interrupted atomic rename (PosixStore); never
-/// part of a key set or worth preserving.
-bool IsTempDebris(std::string_view key) {
-  return key.find(".dltmp.") != std::string_view::npos;
-}
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // VersionedStore
 // ---------------------------------------------------------------------------
@@ -72,29 +62,26 @@ Result<Slice> VersionedStore::GetRange(std::string_view key,
 }
 
 Status VersionedStore::Put(std::string_view key, ByteView value) {
+  return Write(key, value, /*durable=*/false);
+}
+
+Status VersionedStore::PutDurable(std::string_view key, ByteView value) {
+  return Write(key, value, /*durable=*/true);
+}
+
+Status VersionedStore::Write(std::string_view key, ByteView value,
+                             bool durable) {
   if (!writable_) {
     return Status::FailedPrecondition(
         "versioned store at sealed commit is read-only");
   }
+  std::string physical = PhysicalKey(commit_id_, key);
   // dllint-ok(unjournaled-manifest-write): data-path write into the
   // working commit's own directory; the journaled protocol applies to
   // manifests, not data objects (which stay invisible until the commit
   // record lands).
-  DL_RETURN_IF_ERROR(vc_->base_->Put(PhysicalKey(commit_id_, key), value));
-  MutexLock lock(vc_->mu_);
-  vc_->key_sets_[commit_id_].insert(std::string(key));
-  return Status::OK();
-}
-
-Status VersionedStore::PutDurable(std::string_view key, ByteView value) {
-  if (!writable_) {
-    return Status::FailedPrecondition(
-        "versioned store at sealed commit is read-only");
-  }
-  // dllint-ok(unjournaled-manifest-write): data-path write (see Put);
-  // durable variant for callers that need it.
-  DL_RETURN_IF_ERROR(
-      vc_->base_->PutDurable(PhysicalKey(commit_id_, key), value));
+  DL_RETURN_IF_ERROR(durable ? vc_->base_->PutDurable(physical, value)
+                             : vc_->base_->Put(physical, value));
   MutexLock lock(vc_->mu_);
   vc_->key_sets_[commit_id_].insert(std::string(key));
   return Status::OK();
@@ -147,17 +134,12 @@ Result<std::vector<std::string>> VersionedStore::ListPrefix(
     std::string_view prefix) {
   std::set<std::string> keys;
   MutexLock lock(vc_->mu_);
-  std::string cur = commit_id_;
-  while (!cur.empty()) {
-    auto ks = vc_->key_sets_.find(cur);
-    if (ks != vc_->key_sets_.end()) {
-      for (const auto& k : ks->second) {
-        if (StartsWith(k, prefix)) keys.insert(k);
-      }
+  for (const std::string& id : vc_->Chain(commit_id_)) {
+    auto ks = vc_->key_sets_.find(id);
+    if (ks == vc_->key_sets_.end()) continue;
+    for (const auto& k : ks->second) {
+      if (StartsWith(k, prefix)) keys.insert(k);
     }
-    auto ci = vc_->commits_.find(cur);
-    if (ci == vc_->commits_.end()) break;
-    cur = ci->second.parent;
   }
   return std::vector<std::string>(keys.begin(), keys.end());
 }
@@ -184,18 +166,26 @@ Result<std::shared_ptr<VersionControl>> VersionControl::OpenOrInit(
     return vc;
   }
   // Fresh tree: main branch with an empty working commit.
-  std::string root_id = vc->NewCommitId();
-  CommitInfo root;
-  root.id = root_id;
-  root.branch = kDefaultBranch;
-  root.timestamp_us = NowMicros();
-  vc->commits_[root_id] = root;
-  vc->branches_[kDefaultBranch] = root_id;
-  vc->current_branch_ = kDefaultBranch;
-  vc->current_commit_ = root_id;
-  vc->key_sets_[root_id] = {};
+  {
+    MutexLock lock(vc->mu_);
+    vc->OpenWorkingHeadLocked("", kDefaultBranch);
+  }
   DL_RETURN_IF_ERROR(vc->Flush());
   return vc;
+}
+
+void VersionControl::OpenWorkingHeadLocked(const std::string& parent,
+                                           const std::string& branch) {
+  CommitInfo head;
+  head.id = NewCommitId();
+  head.parent = parent;
+  head.branch = branch;
+  head.timestamp_us = NowMicros();
+  commits_[head.id] = head;
+  branches_[branch] = head.id;
+  key_sets_[head.id] = {};
+  current_branch_ = branch;
+  current_commit_ = head.id;
 }
 
 std::string VersionControl::NewCommitId() {
@@ -235,6 +225,7 @@ Result<std::string> VersionControl::Commit(const std::string& message) {
   // WriteTxn::Publish cannot reparent the head mid-seal (DESIGN.md §12).
   MutexLock publish_lock(publish_mu_);
   std::string sealed_id;
+  std::string branch;
   {
     MutexLock lock(mu_);
     if (current_branch_.empty()) {
@@ -242,36 +233,49 @@ Result<std::string> VersionControl::Commit(const std::string& message) {
           "cannot commit in detached state; checkout a branch first");
     }
     sealed_id = current_commit_;
-    CommitInfo& info = commits_[sealed_id];
-    info.committed = true;
-    info.message = message;
-    info.timestamp_us = NowMicros();
+    branch = current_branch_;
   }
-  // Journaled commit protocol (DESIGN.md §9): stage every version-dir
-  // manifest first, then write the commit record — its presence is the
-  // single commit point. A crash before the record leaves an uncommitted
-  // working head (old state); a crash after it is rolled forward by
-  // recovery (new state). Nothing in between is observable.
-  DL_RETURN_IF_ERROR(PersistKeySet(sealed_id));
-  DL_RETURN_IF_ERROR(WriteDiffFile(sealed_id));
-  DL_RETURN_IF_ERROR(WriteCommitRecord(sealed_id));
-
-  // Open the next working commit on the branch.
-  std::string next_id = NewCommitId();
+  DL_RETURN_IF_ERROR(SealLocked(sealed_id, branch, message));
   {
     MutexLock lock(mu_);
-    CommitInfo next;
-    next.id = next_id;
-    next.parent = sealed_id;
-    next.branch = current_branch_;
-    next.timestamp_us = NowMicros();
-    commits_[next_id] = next;
-    branches_[current_branch_] = next_id;
-    key_sets_[next_id] = {};
-    current_commit_ = next_id;
+    OpenWorkingHeadLocked(sealed_id, branch);
   }
   DL_RETURN_IF_ERROR(Flush());
   return sealed_id;
+}
+
+Status VersionControl::SealLocked(const std::string& id,
+                                  const std::string& branch,
+                                  const std::string& message) {
+  CommitInfo before;
+  {
+    MutexLock lock(mu_);
+    CommitInfo& info = commits_[id];
+    before = info;
+    info.committed = true;
+    info.staged = false;
+    info.message = message;
+    info.branch = branch;
+    info.timestamp_us = NowMicros();
+  }
+  // Journaled seal (DESIGN.md §9.3/§12.2): manifests first, then the
+  // commit record — its presence is the single commit point. A staged
+  // commit's txn marker goes right before the record, so up to the last
+  // write its directory is GC-able debris. A crash before the record
+  // leaves the old state; a crash after it is rolled forward by recovery.
+  Status s = [&]() -> Status {
+    DL_RETURN_IF_ERROR(PersistKeySet(id));
+    DL_RETURN_IF_ERROR(WriteDiffFile(id));
+    if (before.staged) DL_RETURN_IF_ERROR(RemoveTxnMarker(id));
+    return WriteCommitRecord(id);
+  }();
+  if (!s.ok()) {
+    // The record may or may not have landed; put the in-memory state back
+    // and let recovery arbitrate on the next open.
+    MutexLock lock(mu_);
+    commits_[id] = before;
+  }
+  return s;
 }
 
 Status VersionControl::CheckoutBranch(const std::string& branch,
@@ -279,18 +283,15 @@ Status VersionControl::CheckoutBranch(const std::string& branch,
   {
     MutexLock lock(mu_);
     auto it = branches_.find(branch);
-    if (it != branches_.end()) {
-      if (create) {
-        return Status::AlreadyExists("branch '" + branch + "' exists");
-      }
-      current_branch_ = branch;
-      current_commit_ = it->second;
-    } else if (!create) {
+    if (it != branches_.end() && create) {
+      return Status::AlreadyExists("branch '" + branch + "' exists");
+    }
+    if (it == branches_.end() && !create) {
       return Status::NotFound("no branch '" + branch + "'");
     }
-    if (it != branches_.end()) {
-      // fallthrough to persist outside the lock
-      create = false;
+    if (!create) {
+      current_branch_ = branch;
+      current_commit_ = it->second;
     }
   }
   if (!create) {
@@ -319,17 +320,7 @@ Status VersionControl::CheckoutBranch(const std::string& branch,
       std::string parent = commits_[fork_point].parent;
       if (!parent.empty()) fork_point = parent;
     }
-    std::string id = NewCommitId();
-    CommitInfo info;
-    info.id = id;
-    info.parent = fork_point;
-    info.branch = branch;
-    info.timestamp_us = NowMicros();
-    commits_[id] = info;
-    branches_[branch] = id;
-    key_sets_[id] = {};
-    current_branch_ = branch;
-    current_commit_ = id;
+    OpenWorkingHeadLocked(fork_point, branch);
   }
   return PersistInfo();
 }
@@ -541,21 +532,24 @@ Status VersionControl::LoadAllKeySets() {
     MutexLock lock(mu_);
     for (const auto& [id, info] : commits_) ids.push_back(id);
   }
-  for (const auto& id : ids) {
-    Status s = LoadKeySet(id);
-    if (s.ok()) continue;
-    if (!s.IsNotFound() && !s.IsCorruption() && !s.IsInvalidArgument()) {
-      return s;
-    }
-    if (!s.IsNotFound()) recovery_.corrupt_manifests++;
-    DL_RETURN_IF_ERROR(RebuildKeySet(id));
-    bool non_empty;
-    {
-      MutexLock lock(mu_);
-      non_empty = !key_sets_[id].empty();
-    }
-    if (!s.IsNotFound() || non_empty) recovery_.keysets_rebuilt++;
+  for (const auto& id : ids) DL_RETURN_IF_ERROR(LoadOrRebuildKeySet(id));
+  return Status::OK();
+}
+
+Status VersionControl::LoadOrRebuildKeySet(const std::string& commit_id) {
+  Status s = LoadKeySet(commit_id);
+  if (s.ok()) return s;
+  if (!s.IsNotFound() && !s.IsCorruption() && !s.IsInvalidArgument()) {
+    return s;
   }
+  if (!s.IsNotFound()) recovery_.corrupt_manifests++;
+  DL_RETURN_IF_ERROR(RebuildKeySet(commit_id));
+  bool non_empty;
+  {
+    MutexLock lock(mu_);
+    non_empty = !key_sets_[commit_id].empty();
+  }
+  if (!s.IsNotFound() || non_empty) recovery_.keysets_rebuilt++;
   return Status::OK();
 }
 
@@ -791,16 +785,7 @@ Status VersionControl::Recover() {
     recovery_.commits_rolled_forward++;
     // The keyset lands before the record in the journal order; load it so
     // the adopted commit's objects resolve through the chain.
-    Status ks = LoadKeySet(id);
-    if (!ks.ok()) {
-      if (!ks.IsNotFound() && !ks.IsCorruption() &&
-          !ks.IsInvalidArgument()) {
-        return ks;
-      }
-      if (!ks.IsNotFound()) recovery_.corrupt_manifests++;
-      DL_RETURN_IF_ERROR(RebuildKeySet(id));
-      recovery_.keysets_rebuilt++;
-    }
+    DL_RETURN_IF_ERROR(LoadOrRebuildKeySet(id));
   }
 
   // Version directories no commit references: the half-created next head
@@ -817,20 +802,15 @@ Status VersionControl::Recover() {
       referenced = commits_.count(id) > 0;
     }
     if (referenced) continue;
-    if (HasTxnMarker(id)) {
-      DL_ASSIGN_OR_RETURN(auto keys,
-                          base_->ListPrefix(VersionDir(id) + "/"));
-      for (const auto& k : keys) DL_RETURN_IF_ERROR(base_->Delete(k));
-      recovery_.stale_txns_removed++;
-      continue;
-    }
-    if (recovery_.info_rebuilt) {
+    bool stale_txn = HasTxnMarker(id);
+    if (!stale_txn && recovery_.info_rebuilt) {
       recovery_.dirs_quarantined++;
       continue;
     }
     DL_ASSIGN_OR_RETURN(auto keys, base_->ListPrefix(VersionDir(id) + "/"));
     for (const auto& k : keys) DL_RETURN_IF_ERROR(base_->Delete(k));
-    recovery_.orphan_dirs_removed++;
+    ++(stale_txn ? recovery_.stale_txns_removed
+                 : recovery_.orphan_dirs_removed);
   }
 
   // The tree must end on an uncommitted working head. After a roll-forward
@@ -853,17 +833,9 @@ Status VersionControl::Recover() {
         (!current_branch_.empty() && commits_[current_commit_].committed);
   }
   if (need_new_head) {
-    std::string next_id = NewCommitId();
     MutexLock lock(mu_);
-    CommitInfo next;
-    next.id = next_id;
-    next.parent = current_commit_;  // may be empty: fresh root
-    next.branch = current_branch_;
-    next.timestamp_us = NowMicros();
-    commits_[next_id] = next;
-    branches_[current_branch_] = next_id;
-    key_sets_[next_id] = {};
-    current_commit_ = next_id;
+    // current_commit_ may be empty: a fresh root.
+    OpenWorkingHeadLocked(current_commit_, current_branch_);
   }
   return Status::OK();
 }
@@ -989,6 +961,7 @@ Status VersionControl::WriteDiffFile(const std::string& commit_id) {
 Result<MergeStats> VersionControl::Merge(const std::string& source_branch,
                                          MergePolicy policy) {
   std::string source_head;
+  std::string merge_base;
   {
     MutexLock lock(mu_);
     if (current_branch_.empty()) {
@@ -1002,33 +975,58 @@ Result<MergeStats> VersionControl::Merge(const std::string& source_branch,
       return Status::NotFound("no branch '" + source_branch + "'");
     }
     source_head = it->second;
+    // The merge base: the nearest commit on the working head's chain that
+    // the source head's chain also contains.
+    std::vector<std::string> src_chain = Chain(source_head);
+    std::set<std::string> src_ancestors(src_chain.begin(), src_chain.end());
+    for (const std::string& id : Chain(current_commit_)) {
+      if (src_ancestors.count(id) > 0) {
+        merge_base = id;
+        break;
+      }
+    }
   }
   DL_ASSIGN_OR_RETURN(storage::StoragePtr src_store, StoreAt(source_head));
   DL_ASSIGN_OR_RETURN(auto src, tsf::Dataset::Open(src_store));
   DL_ASSIGN_OR_RETURN(auto tgt, tsf::Dataset::Open(working_store()));
+  std::shared_ptr<tsf::Dataset> base;  // null: no dataset at the base
+  if (!merge_base.empty()) {
+    DL_ASSIGN_OR_RETURN(storage::StoragePtr base_store, StoreAt(merge_base));
+    auto opened = tsf::Dataset::Open(base_store);
+    if (!opened.ok() && !opened.status().IsNotFound()) return opened.status();
+    if (opened.ok()) base = std::move(opened).value();
+  }
 
   // Create tensors that only exist on the source branch.
   for (const auto& name : src->TensorNames()) {
     if (tgt->HasTensor(name)) continue;
     DL_ASSIGN_OR_RETURN(tsf::Tensor * st, src->GetTensor(name));
-    tsf::TensorOptions opts;
-    opts.htype = st->meta().htype.ToString();
-    opts.dtype = std::string(tsf::DTypeName(st->meta().dtype));
-    opts.sample_compression =
-        std::string(compress::CompressionName(st->meta().sample_compression));
-    opts.chunk_compression =
-        std::string(compress::CompressionName(st->meta().chunk_compression));
-    opts.max_chunk_bytes = st->meta().max_chunk_bytes;
-    DL_RETURN_IF_ERROR(tgt->CreateTensor(name, opts).status());
+    DL_RETURN_IF_ERROR(
+        tgt->CreateTensor(name, st->meta().ToOptions()).status());
   }
 
-  // Index target rows by sample id.
-  MergeStats stats;
-  std::map<uint64_t, uint64_t> tgt_ids;
-  for (uint64_t i = 0; i < tgt->NumRows(); ++i) {
-    DL_ASSIGN_OR_RETURN(uint64_t id, tgt->SampleIdAt(i));
-    if (id != 0) tgt_ids[id] = i;
+  // Index target and base rows by sample id.
+  std::map<uint64_t, uint64_t> tgt_ids, base_ids;
+  for (auto [ds, ids] : {std::pair(tgt.get(), &tgt_ids),
+                         std::pair(base.get(), &base_ids)}) {
+    for (uint64_t i = 0; ds != nullptr && i < ds->NumRows(); ++i) {
+      DL_ASSIGN_OR_RETURN(uint64_t id, ds->SampleIdAt(i));
+      if (id != 0) (*ids)[id] = i;
+    }
   }
+  // A cell of `ds`; an empty `dtype` sample where the dataset, tensor or
+  // row is absent, so absence compares equal to sparse padding.
+  auto cell = [](tsf::Dataset* ds, const std::string& name, uint64_t row,
+                 tsf::DType dtype) -> Result<tsf::Sample> {
+    if (ds == nullptr || !ds->HasTensor(name)) {
+      return tsf::Sample::EmptyOf(dtype);
+    }
+    DL_ASSIGN_OR_RETURN(tsf::Tensor * t, ds->GetTensor(name));
+    if (row >= t->NumSamples()) return tsf::Sample::EmptyOf(dtype);
+    return t->Read(row);
+  };
+
+  MergeStats stats;
   for (uint64_t i = 0; i < src->NumRows(); ++i) {
     DL_ASSIGN_OR_RETURN(uint64_t id, src->SampleIdAt(i));
     auto it = tgt_ids.find(id);
@@ -1039,30 +1037,30 @@ Result<MergeStats> VersionControl::Merge(const std::string& source_branch,
       stats.rows_appended++;
       continue;
     }
-    // Row exists on both sides: cell-level conflict detection.
+    // Row exists on both sides: three-way, cell by cell, against the base.
     uint64_t ti = it->second;
+    auto bit = base_ids.find(id);
+    uint64_t bi = bit == base_ids.end() ? UINT64_MAX : bit->second;
     for (const auto& name : src->TensorNames()) {
       DL_ASSIGN_OR_RETURN(tsf::Tensor * st, src->GetTensor(name));
-      DL_ASSIGN_OR_RETURN(tsf::Tensor * tt, tgt->GetTensor(name));
-      if (i >= st->NumSamples()) continue;
-      DL_ASSIGN_OR_RETURN(tsf::Sample sv, st->Read(i));
-      tsf::Sample tv;
-      if (ti < tt->NumSamples()) {
-        DL_ASSIGN_OR_RETURN(tv, tt->Read(ti));
-      }
+      tsf::DType dtype = st->meta().dtype;
+      DL_ASSIGN_OR_RETURN(tsf::Sample sv, cell(src.get(), name, i, dtype));
+      DL_ASSIGN_OR_RETURN(tsf::Sample tv, cell(tgt.get(), name, ti, dtype));
       if (sv == tv) continue;
-      stats.conflicts++;
-      switch (policy) {
-        case MergePolicy::kOurs:
-          break;  // keep target cell
-        case MergePolicy::kTheirs:
-          DL_RETURN_IF_ERROR(tt->Update(ti, sv));
-          stats.cells_overwritten++;
-          break;
-        case MergePolicy::kError:
+      DL_ASSIGN_OR_RETURN(tsf::Sample bv, cell(base.get(), name, bi, dtype));
+      if (sv == bv) continue;  // only the target changed it: keep
+      if (tv != bv) {
+        // Both sides changed the cell: the policy decides.
+        stats.conflicts++;
+        if (policy == MergePolicy::kError) {
           return Status::Aborted("merge conflict in tensor '" + name +
                                  "' row " + std::to_string(ti));
+        }
+        if (policy == MergePolicy::kOurs) continue;
       }
+      DL_ASSIGN_OR_RETURN(tsf::Tensor * tt, tgt->GetTensor(name));
+      DL_RETURN_IF_ERROR(tt->Update(ti, sv));
+      stats.cells_overwritten++;
     }
   }
   DL_RETURN_IF_ERROR(tgt->Flush());

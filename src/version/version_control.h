@@ -42,7 +42,8 @@ struct TensorDiff {
 };
 
 /// Conflict policy for Merge (paper §4.2: "resolving conflicts according to
-/// the policy defined by the user").
+/// the policy defined by the user"). It applies only to cells both sides
+/// changed since the merge base.
 enum class MergePolicy {
   kOurs,    // keep the target branch's cell
   kTheirs,  // take the source branch's cell
@@ -151,7 +152,10 @@ class VersionControl
 
   /// Merges `source_branch`'s head into the current working commit. Rows
   /// are matched by the hidden `_sample_id` tensor (paper §4.2: ids "keep
-  /// track of the same samples during merge operations").
+  /// track of the same samples during merge operations"). Cells compare
+  /// three ways against the merge base, the nearest common ancestor: a
+  /// cell only the source changed is taken, one only the target changed
+  /// is kept, and only a cell both changed is a conflict for `policy`.
   Result<MergeStats> Merge(const std::string& source_branch,
                            MergePolicy policy);
 
@@ -214,6 +218,8 @@ class VersionControl
   Status RebuildKeySet(const std::string& commit_id) DL_EXCLUDES(mu_);
   /// Loads (or rebuilds) the key set of every known commit.
   Status LoadAllKeySets() DL_EXCLUDES(mu_);
+  /// Loads a commit's key set, rebuilding it when missing or corrupt.
+  Status LoadOrRebuildKeySet(const std::string& commit_id) DL_EXCLUDES(mu_);
   /// Reconstructs branches/commits from per-commit records after the info
   /// snapshot was lost or torn.
   Status RebuildInfoFromRecords() DL_EXCLUDES(mu_);
@@ -247,9 +253,9 @@ class VersionControl
   /// Drops a staged commit: erases it from the in-memory maps and deletes
   /// its directory (marker included). Idempotent.
   Status AbortStagedCommit(const std::string& txn_id) DL_EXCLUDES(mu_);
-  /// Fast-path seal under publish_mu_: keyset + diff + commit record for
-  /// the staged commit (whose parent must be the branch's sealed head),
-  /// then reparents the branch's unsealed working head onto it.
+  /// Publishes a staged commit (whose parent must be the branch's sealed
+  /// head) with SealLocked, then reparents the branch's unsealed working
+  /// head onto it.
   Result<std::string> SealStagedLocked(const std::string& txn_id,
                                        const std::string& branch,
                                        const std::string& message)
@@ -257,6 +263,19 @@ class VersionControl
   /// Deletes versions/<id>/txn.json (seal does this just before the commit
   /// record lands).
   Status RemoveTxnMarker(const std::string& commit_id);
+
+  /// The one journaled seal (DESIGN.md §9.3): marks `id` committed on
+  /// `branch`, writes keyset.json, diff.json, deletes a staged commit's
+  /// txn marker, then writes commit.json. A failed write restores the
+  /// in-memory CommitInfo; recovery arbitrates what landed.
+  Status SealLocked(const std::string& id, const std::string& branch,
+                    const std::string& message)
+      DL_REQUIRES(publish_mu_) DL_EXCLUDES(mu_);
+  /// Opens a fresh, empty, uncommitted working head on `branch` parented
+  /// on `parent` (empty: a new root), makes it the branch head and the
+  /// current position. Touches no storage.
+  void OpenWorkingHeadLocked(const std::string& parent,
+                             const std::string& branch) DL_REQUIRES(mu_);
 
   storage::StoragePtr base_;
   // Serializes the publish critical section of concurrent WriteTxns
@@ -307,6 +326,8 @@ class VersionedStore : public storage::StorageProvider {
   }
 
  private:
+  /// Put and PutDurable: writes into the working commit's directory.
+  Status Write(std::string_view key, ByteView value, bool durable);
   /// Finds which commit in the chain holds `key`; empty if none.
   std::string Resolve(std::string_view key) const;
   std::string PhysicalKey(const std::string& commit,

@@ -118,7 +118,9 @@ TEST(StressTest, MetricsRegistryHammeredDuringSnapshot) {
 
   std::thread reader([&registry, &done] {
     uint64_t snapshots = 0;
-    while (!done.load(std::memory_order_relaxed)) {
+    // do-while: at least one snapshot even if the writers finish before
+    // this thread is first scheduled.
+    do {
       auto snap = registry.Snapshot();
       for (const auto& h : snap.histograms) {
         // Bucket rows must always be structurally complete.
@@ -127,7 +129,7 @@ TEST(StressTest, MetricsRegistryHammeredDuringSnapshot) {
       std::string json = registry.SnapshotJson().Dump();
       EXPECT_FALSE(json.empty());
       ++snapshots;
-    }
+    } while (!done.load(std::memory_order_relaxed));
     EXPECT_GT(snapshots, 0u);
   });
 

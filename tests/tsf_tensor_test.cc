@@ -379,6 +379,39 @@ TEST(TensorTest, PrecompressedIngestFastPath) {
   EXPECT_EQ((*tensor)->Read(0)->data, img.data);
 }
 
+TEST(TensorTest, LossyImageHonoursTensorQuality) {
+  // Quality >= 90 keeps every bit of the lossy image codec, so a "jpeg"
+  // tensor created with quality 95 must read back byte-exact through every
+  // encode path: append, in-place update and rechunk. The same image in a
+  // default-quality (75) tensor must not.
+  auto store = Mem();
+  TensorOptions opts;
+  opts.htype = "image";
+  opts.sample_compression = "jpeg";
+  opts.quality = 95;
+  auto tensor = Tensor::Create(store, "hq", opts);
+  ASSERT_TRUE(tensor.ok()) << tensor.status();
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE((*tensor)->Append(Image(16, 16, i)).ok());
+  }
+  ASSERT_TRUE((*tensor)->Flush().ok());
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ((*tensor)->Read(i)->data, Image(16, 16, i).data) << i;
+  }
+  ASSERT_TRUE((*tensor)->Update(1, Image(16, 16, 7)).ok());
+  EXPECT_EQ((*tensor)->Read(1)->data, Image(16, 16, 7).data);
+  ASSERT_TRUE((*tensor)->Rechunk().ok());
+  EXPECT_EQ((*tensor)->Read(0)->data, Image(16, 16, 0).data);
+  EXPECT_EQ((*tensor)->Read(1)->data, Image(16, 16, 7).data);
+
+  opts.quality = 0;
+  auto lossy = Tensor::Create(store, "default_q", opts);
+  ASSERT_TRUE(lossy.ok()) << lossy.status();
+  ASSERT_TRUE((*lossy)->Append(Image(16, 16, 0)).ok());
+  ASSERT_TRUE((*lossy)->Flush().ok());
+  EXPECT_NE((*lossy)->Read(0)->data, Image(16, 16, 0).data);
+}
+
 // ---------------------------------------------------------------------------
 // Dataset
 // ---------------------------------------------------------------------------

@@ -322,6 +322,93 @@ TEST(VersionControlTest, MergeConflictPolicies) {
   }
 }
 
+TEST(VersionControlTest, MergeKeepsTargetOnlyChange) {
+  // main relabels row 0; the branch only appends. Against the merge base
+  // row 0 changed on one side only, so no policy may undo it. Under kOurs
+  // a branch-only change is still taken.
+  for (MergePolicy policy : {MergePolicy::kOurs, MergePolicy::kTheirs}) {
+    Fixture f;
+    ASSERT_TRUE(AppendScalar(*f.ds, "labels", 1).ok());
+    ASSERT_TRUE(AppendScalar(*f.ds, "labels", 2).ok());
+    ASSERT_TRUE(f.ds->Flush().ok());
+    ASSERT_TRUE(f.vc->Commit("base").ok());
+
+    ASSERT_TRUE(f.vc->CheckoutBranch("feature", true).ok());
+    f.Reopen();
+    ASSERT_TRUE(AppendScalar(*f.ds, "labels", 3).ok());
+    auto lf = f.ds->GetTensor("labels").MoveValue();
+    ASSERT_TRUE(lf->Update(1, Sample::Scalar(20, DType::kInt32)).ok());
+    ASSERT_TRUE(f.ds->Flush().ok());
+    ASSERT_TRUE(f.vc->Commit("feature: append, relabel row 1").ok());
+
+    ASSERT_TRUE(f.vc->CheckoutBranch("main").ok());
+    f.Reopen();
+    auto lm = f.ds->GetTensor("labels").MoveValue();
+    ASSERT_TRUE(lm->Update(0, Sample::Scalar(100, DType::kInt32)).ok());
+    ASSERT_TRUE(f.ds->Flush().ok());
+    ASSERT_TRUE(f.vc->Commit("main: relabel row 0").ok());
+
+    auto stats = f.vc->Merge("feature", policy);
+    ASSERT_TRUE(stats.ok()) << stats.status();
+    EXPECT_EQ(stats->conflicts, 0u);
+    EXPECT_EQ(stats->rows_appended, 1u);
+    EXPECT_EQ(stats->cells_overwritten, 1u);
+    f.Reopen();
+    ASSERT_EQ(f.ds->NumRows(), 3u);
+    EXPECT_EQ(f.ds->ReadRow(0)->at("labels").AsInt(), 100);
+    EXPECT_EQ(f.ds->ReadRow(1)->at("labels").AsInt(), 20);
+    EXPECT_EQ(f.ds->ReadRow(2)->at("labels").AsInt(), 3);
+  }
+}
+
+TEST(VersionControlTest, FailedCommitRollsBackAndRetries) {
+  auto mem = std::make_shared<storage::MemoryStore>();
+  auto faulty = std::make_shared<storage::FaultInjectionStore>(
+      mem, /*fail_every=*/1'000'000'000);
+  auto vc = VersionControl::OpenOrInit(faulty).MoveValue();
+  auto ds = Dataset::Create(vc->working_store()).MoveValue();
+  TensorOptions opts;
+  opts.htype = "class_label";
+  ASSERT_TRUE(ds->CreateTensor("labels", opts).ok());
+  ASSERT_TRUE(AppendScalar(*ds, "labels", 7).ok());
+  ASSERT_TRUE(AppendScalar(*ds, "labels", 8).ok());
+  ASSERT_TRUE(ds->Flush().ok());
+  const std::string head = vc->current_commit();
+
+  // Every put of the seal fails: the commit must not look sealed in
+  // memory while the store says it is not.
+  faulty->set_fail_every(1);
+  EXPECT_FALSE(vc->Commit("lost").ok());
+  EXPECT_EQ(vc->current_commit(), head);
+  EXPECT_FALSE(vc->GetCommit(head)->committed);
+  EXPECT_TRUE(vc->GetCommit(head)->message.empty());
+  {
+    auto reopened = VersionControl::OpenOrInit(mem).MoveValue();
+    EXPECT_FALSE(reopened->GetCommit(head)->committed);
+  }
+
+  faulty->set_fail_every(1'000'000'000);
+  auto sealed = vc->Commit("landed");
+  ASSERT_TRUE(sealed.ok()) << sealed.status();
+  EXPECT_EQ(*sealed, head);
+  auto reopened = VersionControl::OpenOrInit(mem).MoveValue();
+  EXPECT_FALSE(reopened->last_recovery().any());
+  int sealed_commits = 0;
+  for (const CommitInfo& c : reopened->Log()) {
+    if (!c.committed) continue;
+    ++sealed_commits;
+    EXPECT_EQ(c.id, head);
+    EXPECT_EQ(c.message, "landed");
+  }
+  EXPECT_EQ(sealed_commits, 1);
+  auto at = reopened->StoreAt(head);
+  ASSERT_TRUE(at.ok()) << at.status();
+  auto sealed_ds = Dataset::Open(*at).MoveValue();
+  ASSERT_EQ(sealed_ds->NumRows(), 2u);
+  EXPECT_EQ(sealed_ds->ReadRow(0)->at("labels").AsInt(), 7);
+  EXPECT_EQ(sealed_ds->ReadRow(1)->at("labels").AsInt(), 8);
+}
+
 TEST(VersionControlTest, MergeCreatesMissingTensors) {
   Fixture f;
   ASSERT_TRUE(AppendScalar(*f.ds, "labels", 1).ok());
