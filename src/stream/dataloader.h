@@ -4,12 +4,14 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "obs/context.h"
 #include "obs/metrics.h"
+#include "stream/read_cost.h"
 #include "tql/executor.h"
 #include "tsf/dataset.h"
 #include "util/rng.h"
@@ -46,8 +48,9 @@ struct DataloaderOptions {
   /// Rows held in the shuffle reservoir.
   size_t shuffle_buffer_rows = 512;
   uint64_t seed = 42;
-  /// Max work units (≈ chunks) fetched ahead of consumption; bounds
-  /// memory (paper §4.6 "predicting memory consumption").
+  /// Max work units (≈ chunks) fetched ahead of consumption, and the most
+  /// chunks of each non-primary tensor kept between the units that read
+  /// them; bounds memory (paper §4.6 "predicting memory consumption").
   size_t prefetch_units = 8;
   bool drop_last = false;
   /// Tensors to stream; empty = all visible tensors.
@@ -70,10 +73,10 @@ struct DataloaderOptions {
 ///    Next() calls without synchronization; other threads may not.
 ///
 ///  - *Mutex-guarded (worker-written)*: `fetch_micros`, `decode_micros`,
-///    `transform_micros` are accumulated by worker threads under the
-///    loader mutex. Read them only after the epoch has drained (Next()
-///    returned false, or the loader was destroyed) — a mid-epoch read from
-///    the consumer thread races with workers.
+///    `transform_micros`, `peak_shared_chunks` are written by worker
+///    threads under the loader mutex. Read them only after the epoch has
+///    drained (Next() returned false, or the loader was destroyed) — a
+///    mid-epoch read from the consumer thread races with workers.
 ///
 /// The per-stage micros sum CPU/IO time *across all workers*: with N
 /// workers their total can legitimately exceed wall time (stages overlap).
@@ -86,13 +89,18 @@ struct DataloaderStats {
   /// consumer has drained; in shuffle mode, units whose rows all reached
   /// the shuffle reservoir.
   uint64_t units = 0;
-  /// Worker time spent in storage reads (chunk Get + tiled/tail reads;
-  /// the tiled/tail path folds its decode into this figure).
+  /// Worker time spent in storage reads: whole-chunk Gets, the header and
+  /// sample-run GetRanges of sparse chunks, and tiled/tail reads (the
+  /// tiled/tail path folds its decode into this figure).
   int64_t fetch_micros = 0;
   /// Worker time spent parsing chunks and materializing samples.
   int64_t decode_micros = 0;
   /// Worker time spent inside the user transform.
   int64_t transform_micros = 0;
+  /// Most chunks of non-primary tensors resident at once. Per tensor that
+  /// is at most the chunks in-flight units hold plus `prefetch_units` idle
+  /// ones, however the units are ordered.
+  uint64_t peak_shared_chunks = 0;
   /// Process-wide bytes deep-copied through the Buffer/Slice layer while
   /// this loader ran (delta of dl::TotalBytesCopied(), sampled in Next()).
   /// Consumer-thread-only, like rows_delivered. The steady-state epoch loop
@@ -106,6 +114,14 @@ struct DataloaderStats {
 /// a buffer, and collates batches — while a bounded prefetch window keeps
 /// memory flat and the consumer (GPU) fed.
 ///
+/// Fetches (DESIGN.md §6, "Sparse reads and shared chunks"): a unit reads
+/// its primary chunk whole when it wants all of it; when it wants only
+/// some samples of an uncompressed chunk it reads the header and the
+/// wanted samples by byte range if the fitted ReadCostModel says that is
+/// cheaper. Every other tensor's chunk is fetched by the first unit that
+/// reads it and shared with later ones while it stays resident (see
+/// DataloaderOptions::prefetch_units).
+///
 /// Iterate: `while (loader.Next(&batch)) { ... }`. One pass; construct a
 /// new loader per epoch (cheap).
 class Dataloader {
@@ -115,8 +131,8 @@ class Dataloader {
 
   /// Streams a query view's rows in the view's order (paper §4.4 "seamless
   /// integration with the dataloader for filtered streaming"). Sparse views
-  /// produce fragmented work units — the §4.5 penalty that materialization
-  /// removes.
+  /// produce units that want a few samples of each chunk; over a
+  /// high-latency store they are read by byte range (§3.5).
   Dataloader(std::shared_ptr<tsf::Dataset> dataset,
              const tql::DatasetView& view, DataloaderOptions options);
 
@@ -137,9 +153,54 @@ class Dataloader {
   }
 
  private:
+  // A chunk of one streamed tensor: (index into tensors_, chunk id).
+  using ChunkRef = std::pair<size_t, uint64_t>;
+
+  // How one row's sample of one streamed tensor is served.
+  struct Slot {
+    enum Source : uint8_t {
+      kEmpty,  // the tensor is shorter than the dataset: empty placeholder
+      kRead,   // Tensor::Read (tiled samples, the unflushed tail)
+      kChunk,  // sample `local_index` of chunk `chunk_id`
+    };
+    Source source = kEmpty;
+    uint64_t chunk_id = 0;
+    uint64_t local_index = 0;
+  };
+
+  // Everything a unit reads, decided once by PlanUnits.
   struct Unit {
     uint64_t seq;                  // completion-order key (sequential mode)
     std::vector<uint64_t> rows;    // dataset row indices
+    // Row-major, one per row and streamed tensor:
+    // slots[r * tensors_.size() + k].
+    std::vector<Slot> slots;
+    // The primary chunk the kChunk primary slots read (all rows of a unit
+    // share it).
+    std::optional<tsf::ChunkEncoder::Location> primary_chunk;
+    // Sorted local indices of the primary chunk's samples the rows read.
+    std::vector<uint64_t> wanted;
+    // Chunks of the other tensors the rows read, each once.
+    std::vector<ChunkRef> shared;
+  };
+
+  // A non-primary chunk, fetched by the first unit that needs it. The
+  // entry goes when the last unit that planned to read it finishes; its
+  // chunk may be dropped earlier while no unit holds it (ReleaseShared).
+  struct SharedChunk {
+    size_t users = 0;    // planned units not yet finished
+    size_t holders = 0;  // in-flight units that acquired it
+    uint64_t last_use = 0;  // shared_clock_ at the latest acquire
+    bool fetching = false;
+    Status error;
+    std::shared_ptr<tsf::Chunk> chunk;
+  };
+
+  // Per-unit stage times, merged into stats_ once at unit end.
+  struct UnitTimes {
+    int64_t fetch_us = 0;
+    int64_t decode_us = 0;
+    int64_t transform_us = 0;
   };
 
   /// Resolves the streamed tensors, plans units over `order` (dataset row
@@ -147,16 +208,50 @@ class Dataloader {
   void Start(const std::vector<uint64_t>& order) DL_EXCLUDES(mu_);
   void ProcessUnit(const Unit& unit) DL_EXCLUDES(mu_);
 
-  /// Builds chunk-aligned work units from the ordered row list.
+  /// Builds work units aligned to primary_'s chunks from the ordered row
+  /// list, deciding for each row and tensor what serves it (Slot).
   std::vector<Unit> PlanUnits(const std::vector<uint64_t>& order) const;
+
+  /// One timed storage read of chunk `key` (whole when `range` is null);
+  /// feeds fetch stats and cost_.
+  Result<Slice> ReadChunkBytes(const tsf::Tensor& t, const std::string& key,
+                               const ByteRange* range, UnitTimes* times);
+  /// Fetches and parses one whole chunk.
+  Result<std::shared_ptr<tsf::Chunk>> FetchWholeChunk(const tsf::Tensor& t,
+                                                      uint64_t chunk_id,
+                                                      UnitTimes* times);
+  /// The primary chunk at `loc` holding at least `wanted`: whole, or the
+  /// header and the wanted samples' byte runs when that is cheaper.
+  Result<std::shared_ptr<tsf::Chunk>> FetchPrimaryChunk(
+      const tsf::Tensor& t, const tsf::ChunkEncoder::Location& loc,
+      const std::vector<uint64_t>& wanted, UnitTimes* times);
+  /// The header bytes to request when reading the header and the wanted
+  /// samples by range costs less than one whole Get under `cost`; nullopt
+  /// otherwise. Without a fitted `cost`, ranged when the wanted samples
+  /// span enough bytes to fit one.
+  std::optional<uint64_t> PlanRangedRead(
+      const tsf::Tensor& t, const tsf::ChunkEncoder::Location& loc,
+      const std::vector<uint64_t>& wanted,
+      const std::optional<ReadCost>& cost) const;
+  Result<std::shared_ptr<tsf::Chunk>> AcquireShared(const ChunkRef& ref,
+                                                    UnitTimes* times)
+      DL_EXCLUDES(mu_);
+  /// Ends `unit`'s use of its shared chunks (`held`: those it acquired)
+  /// and drops idle chunks past the per-tensor cap.
+  void ReleaseShared(const Unit& unit, const std::vector<ChunkRef>& held)
+      DL_EXCLUDES(mu_);
 
   std::shared_ptr<tsf::Dataset> dataset_;
   DataloaderOptions options_;
   // Streamed (name, tensor) pairs, resolved once in Start(); dataset_
   // keeps the tensors alive.
   std::vector<std::pair<std::string, tsf::Tensor*>> tensors_;
+  // Index in tensors_ of the finest-chunked tensor, whose chunks units
+  // align to (SIZE_MAX when no tensor is streamed).
+  size_t primary_ = SIZE_MAX;
   std::vector<Unit> units_;
   std::unique_ptr<ThreadPool> pool_;
+  ReadCostModel cost_;
 
   // Leaf lock (DESIGN.md §8): workers and the consumer never acquire
   // another dl::Mutex while holding it (registry instruments are atomics).
@@ -188,6 +283,11 @@ class Dataloader {
   uint64_t units_published_ DL_GUARDED_BY(mu_) = 0;
   Status first_error_ DL_GUARDED_BY(mu_);
   bool abort_ DL_GUARDED_BY(mu_) = false;
+  std::map<ChunkRef, SharedChunk> shared_ DL_GUARDED_BY(mu_);
+  uint64_t shared_clock_ DL_GUARDED_BY(mu_) = 0;
+  // Entries of shared_ whose chunk is resident.
+  uint64_t shared_resident_ DL_GUARDED_BY(mu_) = 0;
+  CondVar shared_cv_;
 
   // Carry-over rows between Next() calls (batch boundary inside a unit).
   // Touched only by the consumer thread inside Next(), but always under

@@ -1,6 +1,8 @@
 #include "tsf/chunk.h"
 
+#include <algorithm>
 #include <cstring>
+#include <iterator>
 
 #include "util/coding.h"
 #include "util/crc32.h"
@@ -36,10 +38,8 @@ compress::CodecContext ContextForSample(DType dtype,
 
 void ChunkHeader::SampleRange(size_t i, uint64_t* offset,
                               uint64_t* len) const {
-  uint64_t off = payload_offset;
-  for (size_t k = 0; k < i; ++k) off += stored_lens[k];
-  *offset = off;
-  *len = stored_lens[i];
+  *offset = payload_offset + offsets[i];
+  *len = stored_len(i);
 }
 
 Result<uint32_t> ChunkHeader::PeekHeaderLen(ByteView prefix) {
@@ -57,7 +57,7 @@ Result<uint32_t> ChunkHeader::PeekHeaderLen(ByteView prefix) {
 
 Result<ChunkHeader> ChunkHeader::Parse(ByteView chunk_prefix) {
   DL_ASSIGN_OR_RETURN(uint32_t header_len, PeekHeaderLen(chunk_prefix));
-  if (chunk_prefix.size() < kFixedPrefix + header_len) {
+  if (chunk_prefix.size() - kFixedPrefix < header_len) {
     return Status::Corruption("chunk: truncated header");
   }
   ChunkHeader h;
@@ -68,16 +68,33 @@ Result<ChunkHeader> ChunkHeader::Parse(ByteView chunk_prefix) {
       static_cast<compress::Compression>(chunk_prefix[7]);
   Decoder dec{chunk_prefix.subview(kFixedPrefix, header_len)};
   DL_ASSIGN_OR_RETURN(uint64_t n, dec.GetVarint64());
-  h.stored_lens.reserve(n);
+  // Every sample costs at least two header bytes (a stored length and an
+  // ndim varint), so a larger count is corrupt — and must be rejected
+  // before it sizes an allocation.
+  if (n > header_len / 2) {
+    return Status::Corruption("chunk: sample count " + std::to_string(n) +
+                              " exceeds what the header can hold");
+  }
+  h.offsets.reserve(n + 1);
   h.shapes.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
     DL_ASSIGN_OR_RETURN(uint64_t len, dec.GetVarint64());
     DL_ASSIGN_OR_RETURN(TensorShape shape, TensorShape::Decode(dec));
-    h.stored_lens.push_back(len);
+    if (len > UINT64_MAX - h.offsets.back()) {
+      return Status::Corruption("chunk: sample lengths overflow");
+    }
+    h.offsets.push_back(h.offsets.back() + len);
     h.shapes.push_back(std::move(shape));
   }
   h.payload_offset = kFixedPrefix + header_len;
   return h;
+}
+
+uint64_t ChunkHeader::EntryLen(uint64_t stored_len,
+                               const TensorShape& shape) {
+  uint64_t n = VarintLength(stored_len) + VarintLength(shape.ndim());
+  for (uint64_t d : shape.dims()) n += VarintLength(d);
+  return n;
 }
 
 // ---------------------------------------------------------------------------
@@ -97,8 +114,8 @@ Status ChunkBuilder::Append(const Sample& sample) {
   DL_RETURN_IF_ERROR(sample.Validate());
   if (sample_compression_ == compress::Compression::kNone ||
       sample.data.empty()) {
+    starts_.push_back(payload_.size());
     AppendBytes(payload_, ByteView(sample.data));
-    stored_lens_.push_back(sample.data.size());
   } else {
     compress::CodecContext ctx = ContextForSample(dtype_, sample.shape);
     ctx.quality = quality_;
@@ -106,7 +123,7 @@ Status ChunkBuilder::Append(const Sample& sample) {
         ByteBuffer frame,
         compress::CompressBytes(sample_compression_, ByteView(sample.data),
                                 ctx));
-    stored_lens_.push_back(frame.size());
+    starts_.push_back(payload_.size());
     AppendBytes(payload_, ByteView(frame));
   }
   shapes_.push_back(sample.shape);
@@ -119,8 +136,8 @@ Status ChunkBuilder::AppendPrecompressed(ByteView frame,
     return Status::FailedPrecondition(
         "chunk: precompressed append requires sample compression");
   }
+  starts_.push_back(payload_.size());
   AppendBytes(payload_, frame);
-  stored_lens_.push_back(frame.size());
   shapes_.push_back(shape);
   return Status::OK();
 }
@@ -130,9 +147,8 @@ Result<Sample> ChunkBuilder::ReadBuffered(size_t local_index) const {
     return Status::OutOfRange("chunk builder: no buffered sample " +
                               std::to_string(local_index));
   }
-  uint64_t off = 0;
-  for (size_t k = 0; k < local_index; ++k) off += stored_lens_[k];
-  ByteView stored = ByteView(payload_).subview(off, stored_lens_[local_index]);
+  ByteView stored = ByteView(payload_).subview(
+      starts_[local_index], StoredEnd(local_index) - starts_[local_index]);
   // dllint-ok(hot-path-copy): payload_ is the builder's live buffer and
   // the next Append may
   // reallocate it, so a borrowed view would dangle. ReadBuffered only serves
@@ -145,7 +161,7 @@ Result<ByteBuffer> ChunkBuilder::Finish() {
   ByteBuffer header;
   PutVarint64(header, shapes_.size());
   for (size_t i = 0; i < shapes_.size(); ++i) {
-    PutVarint64(header, stored_lens_[i]);
+    PutVarint64(header, StoredEnd(i) - starts_[i]);
     shapes_[i].Encode(header);
   }
 
@@ -173,7 +189,7 @@ Result<ByteBuffer> ChunkBuilder::Finish() {
   PutFixed32(out, Crc32c(ByteView(out)));
 
   payload_.clear();
-  stored_lens_.clear();
+  starts_.clear();
   shapes_.clear();
   return out;
 }
@@ -194,26 +210,42 @@ Result<Chunk> Chunk::Parse(Slice bytes, bool verify_checksum) {
     }
   }
   DL_ASSIGN_OR_RETURN(ChunkHeader header, ChunkHeader::Parse(bytes));
+  const uint64_t body_end = bytes.size() - 4;  // the CRC trailer starts here
+  if (header.payload_offset > body_end) {
+    return Status::Corruption("chunk: header runs into the CRC trailer");
+  }
   Slice decompressed;
   if (header.chunk_compression != compress::Compression::kNone) {
-    ByteView frame = bytes.view().subview(
-        header.payload_offset,
-        bytes.size() - header.payload_offset - 4);
+    ByteView frame = bytes.view().subview(header.payload_offset,
+                                          body_end - header.payload_offset);
     // The decoded buffer is freed when the last sample slice referencing
     // it drops; the default pool counts it while it lives.
     DL_ASSIGN_OR_RETURN(
         decompressed,
         compress::DecompressToSlice(header.chunk_compression, frame));
+    if (header.payload_bytes() > decompressed.size()) {
+      return Status::Corruption("chunk: samples overrun the payload");
+    }
+  } else if (header.payload_bytes() > body_end - header.payload_offset) {
+    return Status::Corruption("chunk: samples overrun the payload");
   }
-  return Chunk(std::move(header), std::move(bytes), std::move(decompressed));
+  std::vector<ChunkRun> runs;
+  runs.push_back({0, std::move(bytes)});
+  return Chunk(std::move(header), std::move(runs), std::move(decompressed));
 }
 
-Slice Chunk::Payload() const {
-  if (header_.chunk_compression != compress::Compression::kNone) {
-    return decompressed_payload_;
+Result<Chunk> Chunk::FromRuns(ChunkHeader header, std::vector<ChunkRun> runs) {
+  if (header.chunk_compression != compress::Compression::kNone) {
+    return Status::InvalidArgument(
+        "chunk: ranged runs need an uncompressed chunk payload");
   }
-  return bytes_.subslice(header_.payload_offset,
-                         bytes_.size() - header_.payload_offset - 4);
+  if (!std::is_sorted(runs.begin(), runs.end(),
+                      [](const ChunkRun& a, const ChunkRun& b) {
+                        return a.offset < b.offset;
+                      })) {
+    return Status::InvalidArgument("chunk: runs must be sorted by offset");
+  }
+  return Chunk(std::move(header), std::move(runs), Slice());
 }
 
 Result<Slice> Chunk::StoredBytes(size_t local_index) const {
@@ -222,9 +254,26 @@ Result<Slice> Chunk::StoredBytes(size_t local_index) const {
                               std::to_string(local_index) + " of " +
                               std::to_string(header_.num_samples()));
   }
-  uint64_t off = 0;
-  for (size_t k = 0; k < local_index; ++k) off += header_.stored_lens[k];
-  return Payload().subslice(off, header_.stored_lens[local_index]);
+  if (header_.chunk_compression != compress::Compression::kNone) {
+    return decompressed_payload_.subslice(header_.offsets[local_index],
+                                          header_.stored_len(local_index));
+  }
+  uint64_t off, len;
+  header_.SampleRange(local_index, &off, &len);
+  // The last run starting at or before the sample must hold all of it.
+  auto it = std::upper_bound(
+      runs_.begin(), runs_.end(), off,
+      [](uint64_t o, const ChunkRun& run) { return o < run.offset; });
+  if (it != runs_.begin()) {
+    const ChunkRun& run = *std::prev(it);
+    if (off - run.offset <= run.bytes.size() &&
+        len <= run.bytes.size() - (off - run.offset)) {
+      return run.bytes.subslice(off - run.offset, len);
+    }
+  }
+  return Status::FailedPrecondition("chunk: sample " +
+                                    std::to_string(local_index) +
+                                    " was not fetched");
 }
 
 Result<Sample> Chunk::ReadSample(size_t local_index) const {

@@ -33,11 +33,17 @@ struct ChunkHeader {
   DType dtype = DType::kUInt8;
   compress::Compression sample_compression = compress::Compression::kNone;
   compress::Compression chunk_compression = compress::Compression::kNone;
-  std::vector<uint64_t> stored_lens;   // per-sample stored byte length
+  /// Prefix sums of the per-sample stored byte lengths: sample i occupies
+  /// payload bytes [offsets[i], offsets[i+1]), and offsets.back() is the
+  /// payload length the header claims. One entry more than there are
+  /// samples, so every lookup is O(1).
+  std::vector<uint64_t> offsets{0};
   std::vector<TensorShape> shapes;     // per-sample logical shape
   uint64_t payload_offset = 0;         // first payload byte in the object
 
-  size_t num_samples() const { return stored_lens.size(); }
+  size_t num_samples() const { return shapes.size(); }
+  uint64_t stored_len(size_t i) const { return offsets[i + 1] - offsets[i]; }
+  uint64_t payload_bytes() const { return offsets.back(); }
 
   /// Byte range [offset, offset+len) of sample `i` within the chunk object.
   /// Only meaningful when chunk_compression == kNone.
@@ -46,8 +52,16 @@ struct ChunkHeader {
   /// Parses the fixed 12-byte prefix; returns the header length H.
   static Result<uint32_t> PeekHeaderLen(ByteView prefix);
 
-  /// Parses the full header from the first 12+H bytes of the chunk.
+  /// Parses the full header from the first 12+H bytes of the chunk (a
+  /// longer prefix is fine). The input is untrusted: a sample count the H
+  /// header bytes cannot hold, or lengths whose sum overflows, are
+  /// Corruption.
   static Result<ChunkHeader> Parse(ByteView chunk_prefix);
+
+  /// Header bytes one sample's entry takes (H is the sample count's varint
+  /// plus one entry per sample) — lets a reader size the header request
+  /// from the shape index before it has seen the chunk.
+  static uint64_t EntryLen(uint64_t stored_len, const TensorShape& shape);
 
   /// Size in bytes of the 12-byte fixed prefix.
   static constexpr size_t kFixedPrefix = 12;
@@ -96,23 +110,47 @@ class ChunkBuilder {
   compress::Compression chunk_compression_;
   int quality_;
   ByteBuffer payload_;
-  std::vector<uint64_t> stored_lens_;
+  // One past buffered sample i's last payload byte.
+  uint64_t StoredEnd(size_t i) const {
+    return i + 1 < starts_.size() ? starts_[i + 1] : payload_.size();
+  }
+
+  // Payload offset of each buffered sample's first byte.
+  std::vector<uint64_t> starts_;
   std::vector<TensorShape> shapes_;
 };
 
-/// A fully-fetched, parsed chunk; verifies the CRC on parse.
+/// A byte run of a chunk object: the object's bytes from `offset` on.
+struct ChunkRun {
+  uint64_t offset = 0;
+  // dllint-ok(slice-owner): a fetched Slice carries its keep-alive owner.
+  Slice bytes;
+};
+
+/// A parsed chunk: either the whole fetched object (`Parse`, which can
+/// verify the CRC) or its header plus the byte runs of some samples
+/// (`FromRuns`, the ranged streaming path).
 ///
-/// Zero-copy: the chunk holds the fetched object as a Slice (typically a
-/// view of the store's or LRU cache's buffer) and decodes samples as
-/// subslices of it — uncompressed samples share the chunk's bytes, codec
-/// output lands in pooled arena buffers (DESIGN.md §10).
+/// Zero-copy: the chunk holds the fetched bytes as Slices (typically views
+/// of the store's or LRU cache's buffer) and decodes samples as subslices
+/// of them — uncompressed samples share the fetched bytes, codec output
+/// lands in pooled arena buffers (DESIGN.md §10).
 class Chunk {
  public:
   /// Parses a complete chunk object. `verify_checksum` false skips the
   /// CRC pass (RocksDB-style ReadOptions::verify_checksums) — the
   /// streaming dataloader's hot path trusts the transport; writers and
-  /// random-access reads keep verification on.
+  /// random-access reads keep verification on. Either way the header's
+  /// byte ranges must fit the object (Corruption otherwise).
   static Result<Chunk> Parse(Slice bytes, bool verify_checksum = true);
+
+  /// A chunk of which only `header` and the object byte `runs` (sorted by
+  /// offset) were fetched. Requires chunk_compression == kNone. No CRC can
+  /// cover a partial object: ReadSample checks a sample lies in a run and
+  /// validates its size against its shape; a sample no run covers fails
+  /// with FailedPrecondition.
+  static Result<Chunk> FromRuns(ChunkHeader header,
+                                std::vector<ChunkRun> runs);
 
   const ChunkHeader& header() const { return header_; }
   size_t num_samples() const { return header_.num_samples(); }
@@ -127,20 +165,16 @@ class Chunk {
   Result<Slice> StoredBytes(size_t local_index) const;
 
  private:
-  Chunk(ChunkHeader header, Slice bytes, Slice payload)
+  Chunk(ChunkHeader header, std::vector<ChunkRun> runs, Slice payload)
       : header_(std::move(header)),
-        bytes_(std::move(bytes)),
+        runs_(std::move(runs)),
         decompressed_payload_(std::move(payload)) {}
 
-  /// Payload slice: either into `bytes_` (no chunk compression) or the
-  /// pooled decompressed buffer.
-  Slice Payload() const;
-
   ChunkHeader header_;
-  // dllint-ok(slice-owner): both slices carry their keep-alive owner —
-  // bytes_ pins the fetched chunk buffer, decompressed_payload_ pins the
+  // dllint-ok(slice-owner): every slice carries its keep-alive owner —
+  // runs_ pin the fetched object bytes, decompressed_payload_ pins the
   // pooled decompression buffer — so Chunk needs no separate Buffer member.
-  Slice bytes_;
+  std::vector<ChunkRun> runs_;  // one run at offset 0 for a whole object
   Slice decompressed_payload_;  // non-empty iff chunk-compressed
 };
 

@@ -28,6 +28,16 @@ uint64_t DecodeFixed64(const uint8_t* p);
 void PutVarint32(ByteBuffer& out, uint32_t v);
 void PutVarint64(ByteBuffer& out, uint64_t v);
 
+/// Bytes PutVarint64 writes for `v` (1 to 10).
+constexpr size_t VarintLength(uint64_t v) {
+  size_t n = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    ++n;
+  }
+  return n;
+}
+
 /// ZigZag maps signed to unsigned so small-magnitude negatives stay short.
 uint64_t ZigZagEncode(int64_t v);
 int64_t ZigZagDecode(uint64_t v);

@@ -16,6 +16,7 @@
 
 #include "compress/codec.h"
 #include "compress/kernels.h"
+#include "tsf/chunk.h"
 #include "util/bytes.h"
 #include "util/coding.h"
 #include "util/crc32.h"
@@ -688,6 +689,214 @@ TEST(Lz77Parity, BadOffsetsAndOverrunsRejectedAlike) {
     }
     ExpectLz77Parity(ByteView(mutated), "flip iter=" + std::to_string(iter));
   }
+}
+
+// ---------------------------------------------------------------------------
+// Chunk parser fuzz: deterministic mutations of real chunk objects through
+// every reader of untrusted chunk bytes — ChunkHeader::Parse (the ranged
+// streaming path's header prefix), Chunk::Parse with and without the CRC,
+// Chunk::FromRuns and ReadSample. Every case must fail cleanly or return a
+// sample that validates against its shape.
+// ---------------------------------------------------------------------------
+
+tsf::Sample PatternSample(Rng& rng, tsf::TensorShape shape, tsf::DType dtype) {
+  ByteBuffer data(shape.NumElements() * tsf::DTypeSize(dtype));
+  uint8_t v = static_cast<uint8_t>(rng.Next());
+  for (auto& b : data) b = static_cast<uint8_t>(v += 3);
+  return tsf::Sample(dtype, std::move(shape), std::move(data));
+}
+
+/// One real chunk of each layout tensors write: raw ragged images (with an
+/// empty tiling placeholder), sample-compressed images, chunk-compressed
+/// scalars.
+std::vector<ByteBuffer> SeedChunks() {
+  Rng rng(0xc4c);
+  std::vector<ByteBuffer> chunks;
+  {
+    tsf::ChunkBuilder b(tsf::DType::kUInt8, Compression::kNone,
+                        Compression::kNone);
+    for (uint64_t side : {4, 7, 5}) {
+      EXPECT_TRUE(
+          b.Append(PatternSample(rng, {side, side, 3}, tsf::DType::kUInt8))
+              .ok());
+    }
+    EXPECT_TRUE(b.Append(tsf::Sample::EmptyOf(tsf::DType::kUInt8)).ok());
+    chunks.push_back(b.Finish().MoveValue());
+  }
+  {
+    tsf::ChunkBuilder b(tsf::DType::kUInt8, Compression::kImage,
+                        Compression::kNone);
+    for (uint64_t side : {6, 9}) {
+      EXPECT_TRUE(
+          b.Append(PatternSample(rng, {side, side, 3}, tsf::DType::kUInt8))
+              .ok());
+    }
+    chunks.push_back(b.Finish().MoveValue());
+  }
+  {
+    tsf::ChunkBuilder b(tsf::DType::kInt32, Compression::kNone,
+                        Compression::kLz77);
+    for (int i = 0; i < 12; ++i) {
+      EXPECT_TRUE(b.Append(tsf::Sample::Scalar(i * 7, tsf::DType::kInt32))
+                      .ok());
+    }
+    chunks.push_back(b.Finish().MoveValue());
+  }
+  return chunks;
+}
+
+void ExpectSamplesFailOrValidate(const tsf::Chunk& chunk) {
+  for (size_t i = 0; i < chunk.num_samples(); ++i) {
+    auto sample = chunk.ReadSample(i);
+    if (sample.ok()) {
+      EXPECT_TRUE(sample->Validate().ok()) << "sample " << i;
+    }
+  }
+}
+
+/// Reads `bytes` every way a reader does. Returns whether the verifying
+/// parse accepted it.
+bool ParseEveryWay(ByteView bytes) {
+  auto header = tsf::ChunkHeader::Parse(bytes);
+  if (header.ok() &&
+      header->chunk_compression == Compression::kNone) {
+    // The ranged path: the header plus one run holding every byte after
+    // the fixed prefix, then the samples through FromRuns.
+    std::vector<tsf::ChunkRun> runs;
+    Slice all = Slice::CopyOf(bytes);
+    runs.push_back({tsf::ChunkHeader::kFixedPrefix,
+                    all.subslice(tsf::ChunkHeader::kFixedPrefix)});
+    auto ranged = tsf::Chunk::FromRuns(*header, std::move(runs));
+    EXPECT_TRUE(ranged.ok()) << ranged.status();
+    if (ranged.ok()) ExpectSamplesFailOrValidate(*ranged);
+  }
+  bool verified = false;
+  for (bool verify : {false, true}) {
+    auto chunk = tsf::Chunk::Parse(Slice::CopyOf(bytes), verify);
+    if (!chunk.ok()) {
+      EXPECT_TRUE(chunk.status().IsCorruption()) << chunk.status();
+      continue;
+    }
+    ExpectSamplesFailOrValidate(*chunk);
+    verified = verify;
+  }
+  return verified;
+}
+
+TEST(ChunkFuzz, SeedChunksParseEveryWay) {
+  for (const ByteBuffer& chunk : SeedChunks()) {
+    EXPECT_TRUE(ParseEveryWay(ByteView(chunk)));
+    auto parsed = tsf::Chunk::Parse(Slice::CopyOf(ByteView(chunk)));
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    for (size_t i = 0; i < parsed->num_samples(); ++i) {
+      EXPECT_TRUE(parsed->ReadSample(i).ok()) << i;
+    }
+  }
+}
+
+TEST(ChunkFuzz, EveryTruncationFailsCleanly) {
+  for (const ByteBuffer& chunk : SeedChunks()) {
+    for (size_t cut = 0; cut < chunk.size(); ++cut) {
+      SCOPED_TRACE("cut=" + std::to_string(cut));
+      EXPECT_FALSE(ParseEveryWay(ByteView(chunk.data(), cut)));
+    }
+  }
+}
+
+TEST(ChunkFuzz, ByteFlipsFailCleanlyOrValidate) {
+  Rng rng(0xf1195);
+  for (const ByteBuffer& chunk : SeedChunks()) {
+    // Every byte, one flip each; then random multi-byte mutations.
+    for (size_t pos = 0; pos < chunk.size(); ++pos) {
+      ByteBuffer mutated = chunk;
+      mutated[pos] ^= static_cast<uint8_t>(1 + rng.Uniform(255));
+      SCOPED_TRACE("pos=" + std::to_string(pos));
+      EXPECT_FALSE(ParseEveryWay(ByteView(mutated)));
+    }
+    for (int iter = 0; iter < 400; ++iter) {
+      ByteBuffer mutated = chunk;
+      size_t flips = 1 + rng.Uniform(4);
+      for (size_t f = 0; f < flips; ++f) {
+        mutated[rng.Uniform(mutated.size())] =
+            static_cast<uint8_t>(rng.Next());
+      }
+      SCOPED_TRACE("iter=" + std::to_string(iter));
+      // A mutation that rewrites bytes to their old values is no mutation;
+      // the CRC must catch every real one.
+      EXPECT_EQ(ParseEveryWay(ByteView(mutated)), mutated == chunk);
+    }
+  }
+}
+
+/// A chunk with no samples whose header claims `num_samples`, with a
+/// valid CRC: only the header bounds can reject it.
+ByteBuffer ChunkClaiming(uint64_t num_samples, uint32_t extra_header_bytes,
+                         Compression chunk_compression) {
+  ByteBuffer header;
+  PutVarint64(header, num_samples);
+  ByteBuffer out = {'D', 'L', 'C', '1', 1, 0, 0,
+                    static_cast<uint8_t>(chunk_compression)};
+  PutFixed32(out, static_cast<uint32_t>(header.size()) + extra_header_bytes);
+  AppendBytes(out, ByteView(header));
+  PutFixed32(out, Crc32c(ByteView(out)));
+  return out;
+}
+
+TEST(ChunkFuzz, HugeSampleCountIsCorruptionNotAnAbort) {
+  // Regression: Parse sized its vectors from this untrusted count, and a
+  // 25-byte chunk claiming 2^62 samples aborted with std::length_error
+  // (2^40: std::bad_alloc).
+  for (uint64_t n : {uint64_t{1} << 62, uint64_t{1} << 40}) {
+    ByteBuffer chunk = ChunkClaiming(n, 0, Compression::kNone);
+    if (n == uint64_t{1} << 62) {
+      EXPECT_EQ(chunk.size(), 25u);
+    }
+    EXPECT_TRUE(tsf::ChunkHeader::Parse(ByteView(chunk)).status()
+                    .IsCorruption());
+    for (bool verify : {false, true}) {
+      EXPECT_TRUE(tsf::Chunk::Parse(Slice::CopyOf(ByteView(chunk)), verify)
+                      .status()
+                      .IsCorruption());
+    }
+  }
+}
+
+TEST(ChunkFuzz, HeaderRunningIntoTheCrcIsCorruption) {
+  // H counts the 4 CRC bytes as header: the header parses from the object,
+  // but the payload would start past the CRC trailer.
+  for (Compression cc : {Compression::kNone, Compression::kLz77}) {
+    ByteBuffer chunk = ChunkClaiming(0, 4, cc);
+    for (bool verify : {false, true}) {
+      EXPECT_TRUE(tsf::Chunk::Parse(Slice::CopyOf(ByteView(chunk)), verify)
+                      .status()
+                      .IsCorruption());
+    }
+  }
+}
+
+TEST(ChunkFuzz, RangedChunkServesOnlyFetchedSamples) {
+  ByteBuffer bytes = SeedChunks()[0];
+  auto header = tsf::ChunkHeader::Parse(ByteView(bytes));
+  ASSERT_TRUE(header.ok()) << header.status();
+  Slice all = Slice::CopyOf(ByteView(bytes));
+  uint64_t off, len;
+  header->SampleRange(1, &off, &len);
+  // Sample 1 whole, and all of sample 2 but its last byte.
+  uint64_t off2, len2;
+  header->SampleRange(2, &off2, &len2);
+  std::vector<tsf::ChunkRun> runs;
+  runs.push_back({off, all.subslice(off, len)});
+  runs.push_back({off2, all.subslice(off2, len2 - 1)});
+  auto chunk = tsf::Chunk::FromRuns(*header, std::move(runs));
+  ASSERT_TRUE(chunk.ok()) << chunk.status();
+  auto whole = tsf::Chunk::Parse(Slice::CopyOf(ByteView(bytes)));
+  ASSERT_TRUE(whole.ok());
+  auto got = chunk->ReadSample(1);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(ByteView(got->data), ByteView(whole->ReadSample(1)->data));
+  EXPECT_TRUE(chunk->ReadSample(0).status().IsFailedPrecondition());
+  EXPECT_TRUE(chunk->ReadSample(2).status().IsFailedPrecondition());
+  EXPECT_TRUE(chunk->ReadSample(9).status().IsOutOfRange());
 }
 
 }  // namespace

@@ -17,8 +17,10 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "storage/storage.h"
 #include "tsf/dataset.h"
+#include "util/thread_annotations.h"
 #include "version/fsck.h"
 #include "version/layout.h"
 #include "version/mvcc.h"
@@ -91,6 +93,26 @@ StoragePtr BuildSeed() {
   return base;
 }
 
+/// Holds every writer after staging until all have staged (or given up),
+/// so both transactions stage against the same base and the second
+/// publish always rebases: the schedule, and so the matrix, is the same in
+/// every run. A writer arrives once; later arrivals are no-ops.
+class StagingBarrier {
+ public:
+  void Arrive(int writer, bool wait) {
+    MutexLock lock(mu_);
+    arrived_ |= 1u << writer;
+    cv_.NotifyAll();
+    while (wait && arrived_ != kAll) cv_.Wait(mu_);
+  }
+
+ private:
+  static constexpr unsigned kAll = (1u << kWriters) - 1;
+  Mutex mu_{"test.staging_barrier.mu"};
+  CondVar cv_;
+  unsigned arrived_ DL_GUARDED_BY(mu_) = 0;
+};
+
 /// The workload the matrix enumerates: kWriters threads each publish one
 /// transaction updating their disjoint row group. Crashes surface as
 /// per-thread errors; nothing here asserts success — the matrix only
@@ -99,26 +121,38 @@ void RunWorkload(StoragePtr store) {
   auto vc_or = VersionControl::OpenOrInit(store);
   if (!vc_or.ok()) return;  // crash fired during open/recovery
   auto vc = *vc_or;
+  StagingBarrier barrier;
   std::vector<std::thread> threads;
   for (int w = 0; w < kWriters; ++w) {
-    threads.emplace_back([vc, w] {
+    threads.emplace_back([vc, w, &barrier] {
       storage::RetryPolicy ropts = TxnRetryPolicy();
       ropts.max_attempts = 8;
       ropts.seed = 7 + static_cast<uint64_t>(w);
       (void)CommitWithTxnRetries(
           vc, {.owner = "w" + std::to_string(w)},
-          [w](tsf::Dataset& ds) -> Status {
-            DL_ASSIGN_OR_RETURN(auto* t, ds.GetTensor("vals"));
-            DL_RETURN_IF_ERROR(t->Update(
-                RowA(w), Sample::Scalar(TargetOf(w), DType::kInt64)));
-            DL_RETURN_IF_ERROR(t->Update(
-                RowB(w), Sample::Scalar(TargetOf(w), DType::kInt64)));
-            return Status::OK();
+          [w, &barrier](tsf::Dataset& ds) -> Status {
+            Status staged = [&]() -> Status {
+              DL_ASSIGN_OR_RETURN(auto* t, ds.GetTensor("vals"));
+              DL_RETURN_IF_ERROR(t->Update(
+                  RowA(w), Sample::Scalar(TargetOf(w), DType::kInt64)));
+              return t->Update(RowB(w),
+                               Sample::Scalar(TargetOf(w), DType::kInt64));
+            }();
+            barrier.Arrive(w, /*wait=*/true);
+            return staged;
           },
           "writer " + std::to_string(w), ropts);
+      // A writer that died before staging must not hold the other back.
+      barrier.Arrive(w, /*wait=*/false);
     });
   }
   for (auto& t : threads) t.join();
+}
+
+uint64_t RebasedPublishes() {
+  return obs::MetricsRegistry::Global()
+      .GetCounter("version.txn.publish_rebased")
+      ->Value();
 }
 
 /// Reopens a crashed image and asserts the per-writer atomicity contract:
@@ -163,12 +197,15 @@ void VerifyRecovered(StoragePtr base) {
 void RunConcurrentMatrix(CrashMode mode, CrashScope scope) {
   StoragePtr seed = BuildSeed();
 
-  // Counting pass: crash_at_write == 0 never fires. The schedule is
-  // nondeterministic, so this count sizes the matrix rather than naming
-  // specific writes; cells past a shorter schedule simply don't crash.
+  // Counting pass: crash_at_write == 0 never fires. The staging barrier
+  // makes the second publish rebase, so the count covers the rebase
+  // path's writes too.
   auto counter =
       std::make_shared<CrashPointStore>(CloneImage(*seed), 0, mode, scope);
+  const uint64_t rebased_before = RebasedPublishes();
   RunWorkload(counter);
+  ASSERT_EQ(RebasedPublishes() - rebased_before, 1u)
+      << "the counting pass did not take the rebase path";
   const uint64_t total_writes = counter->writes_seen();
   // Two full publishes (keyset + diff + marker delete + record + info) on
   // top of chunk writes: fewer writes means the workload lost its writers.

@@ -11,6 +11,7 @@
 #include "sim/network_model.h"
 #include "storage/storage.h"
 #include "stream/dataloader.h"
+#include "stream/read_cost.h"
 #include "tql/executor.h"
 #include "tsf/dataset.h"
 #include "util/clock.h"
@@ -421,6 +422,347 @@ TEST(DataloaderTest, UnknownTensorIsNotFound) {
   auto more = loader.Next(&batch);
   ASSERT_FALSE(more.ok());
   EXPECT_TRUE(more.status().IsNotFound()) << more.status();
+}
+
+// ---------------------------------------------------------------------------
+// Sparse reads: byte-range fetches of the wanted samples, shared chunks
+// ---------------------------------------------------------------------------
+
+TEST(ReadCostModelTest, FitsLatencyAndBandwidthFromTwoReadSizes) {
+  ReadCostModel model;
+  EXPECT_FALSE(model.Cost().has_value());
+  model.ObserveRead(1000, 12100);
+  EXPECT_FALSE(model.Cost().has_value());  // one size says nothing of bytes
+  // 8 MB at ~95 MB/s over the same first-byte latency; the slower repeat
+  // of the same size is scheduling noise and is ignored.
+  model.ObserveRead(8'000'000, 96310);
+  model.ObserveRead(8'000'000, 99000);
+  auto cost = model.Cost();
+  ASSERT_TRUE(cost.has_value());
+  EXPECT_NEAR(cost->us_per_byte, 1e6 / 95e6, 1e-4);
+  EXPECT_NEAR(cost->latency_us, 12000, 100);
+}
+
+TEST(ReadCostModelTest, MergesRunsWhenTheGapCostsLessThanARequest) {
+  ReadCost cost{/*latency_us=*/1000, /*us_per_byte=*/0.01};  // 100 KB gap
+  std::vector<ByteRange> runs =
+      MergeRuns({{0, 10}, {50'000, 10}, {400'000, 10}, {400'010, 10}}, cost);
+  ASSERT_EQ(runs.size(), 2u);
+  EXPECT_EQ(runs[0].offset, 0u);
+  EXPECT_EQ(runs[0].length, 50'010u);
+  EXPECT_EQ(runs[1].offset, 400'000u);
+  EXPECT_EQ(runs[1].length, 20u);
+}
+
+constexpr uint64_t kSide = 128;  // 48 KB images: ~85 to a 4 MB chunk
+
+Sample SparseImage(int i) {
+  ByteBuffer pixels(kSide * kSide * 3);
+  for (size_t b = 0; b < pixels.size(); ++b) {
+    pixels[b] = static_cast<uint8_t>(i * 31 + b * 7);
+  }
+  return Sample(DType::kUInt8, TensorShape{kSide, kSide, 3},
+                std::move(pixels));
+}
+
+/// `n` rows of distinct 48 KB images in ~4 MB chunks plus int32 labels
+/// (one chunk), written straight to `base`.
+void WriteSparseDataset(storage::StoragePtr base, int n,
+                        const std::string& chunk_compression = "none",
+                        const std::string& sample_compression = "none") {
+  auto ds = Dataset::Create(base).MoveValue();
+  TensorOptions img;
+  img.htype = "image";
+  img.sample_compression = sample_compression;
+  img.chunk_compression = chunk_compression;
+  img.max_chunk_bytes = 4 << 20;
+  ASSERT_TRUE(ds->CreateTensor("images", img).ok());
+  TensorOptions lbl;
+  lbl.htype = "class_label";
+  ASSERT_TRUE(ds->CreateTensor("labels", lbl).ok());
+  for (int i = 0; i < n; ++i) {
+    ASSERT_TRUE(ds->Append({{"images", SparseImage(i)},
+                            {"labels", Sample::Scalar(i, DType::kInt32)}})
+                    .ok());
+  }
+  ASSERT_TRUE(ds->Flush().ok());
+}
+
+/// Simulated same-region S3 at double speed: the same latency x bandwidth
+/// product (~1.1 MB), so the same reads win as at full scale.
+sim::NetworkModel ScaledS3() {
+  sim::NetworkModel model = sim::NetworkModel::S3SameRegion();
+  model.time_scale = 2;
+  return model;
+}
+
+/// Counts what `base` serves behind a time-scaled S3 model; `layer` names
+/// the InstrumentedStore series, so each test passes its own.
+std::shared_ptr<storage::InstrumentedStore> CountedS3(
+    storage::StoragePtr base, const std::string& layer) {
+  return std::make_shared<storage::InstrumentedStore>(
+      std::make_shared<sim::SimulatedObjectStore>(base, ScaledS3()), layer);
+}
+
+/// Drains `loader`, checking each row's image against Tensor::Read on
+/// `reference`; returns the labels in delivery order.
+std::vector<int> DrainChecked(Dataloader& loader, Dataset& reference) {
+  tsf::Tensor* images = reference.GetTensor("images").MoveValue();
+  std::vector<int> labels;
+  Batch batch;
+  while (true) {
+    auto more = loader.Next(&batch);
+    EXPECT_TRUE(more.ok()) << more.status();
+    if (!more.ok() || !*more) break;
+    for (uint64_t i = 0; i < batch.size; ++i) {
+      int label = static_cast<int>(batch.columns.at("labels")[i].AsInt());
+      const Sample& got = batch.columns.at("images")[i];
+      Sample want = images->Read(static_cast<uint64_t>(label)).MoveValue();
+      EXPECT_TRUE(got.shape == want.shape) << label;
+      EXPECT_EQ(ByteView(got.data), ByteView(want.data)) << label;
+      labels.push_back(label);
+    }
+  }
+  return labels;
+}
+
+uint64_t ChunkBytes(storage::StorageProvider& base,
+                    const std::string& tensor) {
+  uint64_t total = 0;
+  auto keys = base.ListPrefix("tensors/" + tensor + "/chunks/");
+  EXPECT_TRUE(keys.ok()) << keys.status();
+  for (const auto& k : *keys) total += base.SizeOf(k).MoveValue();
+  return total;
+}
+
+TEST(SparseReadTest, SparseViewReadsOnlyWantedSamplesByRange) {
+  auto base = std::make_shared<storage::MemoryStore>();
+  WriteSparseDataset(base, 400);
+  auto s3 = CountedS3(base, "stream_test.sparse_view");
+  auto ds = Dataset::Open(s3).MoveValue();
+  auto reference = Dataset::Open(base).MoveValue();
+  // Two rows of each ~85-row chunk, ~2 MB apart: reading the gap costs
+  // more than a request, so each is its own range read.
+  auto view = tql::RunQuery(ds, "SELECT * FROM ds WHERE labels % 40 = 7");
+  ASSERT_TRUE(view.ok()) << view.status();
+  ASSERT_EQ(view->size(), 10u);
+
+  const uint64_t ranges_before = s3->get_ranges();
+  const uint64_t bytes_before = s3->bytes_read();
+  DataloaderOptions opts;
+  opts.batch_size = 4;
+  opts.num_workers = 1;
+  Dataloader loader(ds, *view, opts);
+  std::vector<int> labels = DrainChecked(loader, *reference);
+  ASSERT_EQ(labels.size(), 10u);
+  for (size_t i = 0; i < labels.size(); ++i) {
+    EXPECT_EQ(labels[i], static_cast<int>(40 * i + 7));
+  }
+  EXPECT_GT(s3->get_ranges() - ranges_before, 0u);
+  EXPECT_LT(s3->bytes_read() - bytes_before, ChunkBytes(*base, "images"));
+}
+
+TEST(SparseReadTest, FullScanIssuesNoRangeReads) {
+  auto base = std::make_shared<storage::MemoryStore>();
+  WriteSparseDataset(base, 200);
+  auto s3 = CountedS3(base, "stream_test.full_scan");
+  auto ds = Dataset::Open(s3).MoveValue();
+  auto reference = Dataset::Open(base).MoveValue();
+  const uint64_t ranges_before = s3->get_ranges();
+  for (bool shuffle : {false, true}) {
+    DataloaderOptions opts;
+    opts.batch_size = 16;
+    opts.num_workers = 2;
+    opts.shuffle = shuffle;
+    Dataloader loader(ds, opts);
+    EXPECT_EQ(DrainChecked(loader, *reference).size(), 200u);
+  }
+  EXPECT_EQ(s3->get_ranges(), ranges_before);
+}
+
+TEST(SparseReadTest, OneChunkTensorIsFetchedOncePerLoader) {
+  auto base = std::make_shared<storage::MemoryStore>();
+  WriteSparseDataset(base, 200);
+  auto s3 = CountedS3(base, "stream_test.one_chunk");
+  auto ds = Dataset::Open(s3).MoveValue();
+  const uint64_t image_chunks =
+      ds->GetTensor("images").MoveValue()->chunk_encoder().num_chunks();
+  ASSERT_GT(image_chunks, 1u);
+  ASSERT_EQ(ds->GetTensor("labels").MoveValue()->chunk_encoder().num_chunks(),
+            1u);
+  for (bool shuffle : {false, true}) {
+    const uint64_t gets_before = s3->gets();
+    DataloaderOptions opts;
+    opts.batch_size = 16;
+    opts.num_workers = 3;
+    opts.shuffle = shuffle;
+    Dataloader loader(ds, opts);
+    EXPECT_EQ(DrainLabels(loader).size(), 200u);
+    // One Get per image chunk, and the labels chunk once.
+    EXPECT_EQ(s3->gets() - gets_before, image_chunks + 1) << shuffle;
+  }
+}
+
+/// A 256-byte mask whose bytes identify row `i`.
+Sample MaskOf(int i) {
+  ByteBuffer bytes(16 * 16);
+  for (size_t b = 0; b < bytes.size(); ++b) {
+    bytes[b] = static_cast<uint8_t>(i * 13 + b);
+  }
+  return Sample(DType::kUInt8, TensorShape{16, 16}, std::move(bytes));
+}
+
+/// `n` rows of 3 KB images in 48 KB chunks (16 rows each), masks in 12 KB
+/// chunks (48 rows, so each spans about three image units) and labels in
+/// one chunk.
+void WriteMaskedDataset(storage::StoragePtr base, int n) {
+  auto ds = Dataset::Create(base).MoveValue();
+  TensorOptions img;
+  img.htype = "image";
+  img.sample_compression = "none";
+  img.max_chunk_bytes = 48 << 10;
+  ASSERT_TRUE(ds->CreateTensor("images", img).ok());
+  TensorOptions mask;
+  mask.dtype = "uint8";
+  mask.sample_compression = "none";
+  mask.chunk_compression = "none";
+  mask.max_chunk_bytes = 12 << 10;
+  ASSERT_TRUE(ds->CreateTensor("masks", mask).ok());
+  TensorOptions lbl;
+  lbl.htype = "class_label";
+  ASSERT_TRUE(ds->CreateTensor("labels", lbl).ok());
+  for (int i = 0; i < n; ++i) {
+    ByteBuffer pixels(32 * 32 * 3, static_cast<uint8_t>(i % 251));
+    ASSERT_TRUE(ds->Append({{"images", Sample(DType::kUInt8,
+                                              TensorShape{32, 32, 3},
+                                              std::move(pixels))},
+                            {"masks", MaskOf(i)},
+                            {"labels", Sample::Scalar(i, DType::kInt32)}})
+                    .ok());
+  }
+  ASSERT_TRUE(ds->Flush().ok());
+}
+
+TEST(SharedChunkTest, ShuffledEpochKeepsSharedChunksWithinThePrefetchWindow) {
+  auto base = std::make_shared<storage::MemoryStore>();
+  WriteMaskedDataset(base, 960);
+  auto counted = std::make_shared<storage::InstrumentedStore>(
+      base, "stream_test.masks");
+  auto ds = Dataset::Open(counted).MoveValue();
+  const uint64_t image_chunks =
+      ds->GetTensor("images").MoveValue()->chunk_encoder().num_chunks();
+  const uint64_t mask_chunks =
+      ds->GetTensor("masks").MoveValue()->chunk_encoder().num_chunks();
+  ASSERT_GE(mask_chunks, 15u);
+  ASSERT_GE(image_chunks, 2 * mask_chunks);
+  for (bool shuffle : {false, true}) {
+    const uint64_t gets_before = counted->gets();
+    DataloaderOptions opts;
+    opts.batch_size = 16;
+    opts.num_workers = 2;
+    opts.prefetch_units = 2;
+    opts.shuffle = shuffle;
+    Dataloader loader(ds, opts);
+    std::vector<int> labels;
+    Batch batch;
+    while (true) {
+      auto more = loader.Next(&batch);
+      ASSERT_TRUE(more.ok()) << more.status();
+      if (!*more) break;
+      for (uint64_t i = 0; i < batch.size; ++i) {
+        int label = static_cast<int>(batch.columns.at("labels")[i].AsInt());
+        EXPECT_EQ(ByteView(batch.columns.at("masks")[i].data),
+                  ByteView(MaskOf(label).data))
+            << label;
+        labels.push_back(label);
+      }
+    }
+    std::sort(labels.begin(), labels.end());
+    ASSERT_EQ(labels.size(), 960u);
+    for (int i = 0; i < 960; ++i) ASSERT_EQ(labels[i], i);
+    // In flight are at most prefetch_units units, each holding at most two
+    // mask chunks (its rows may cross a mask-chunk boundary); besides
+    // those, masks keeps at most prefetch_units idle chunks, and labels
+    // has one chunk. A chunk pinned from its first to its last planned
+    // reader would leave ~3/4 of the mask chunks resident mid-epoch.
+    const uint64_t bound = 2 * opts.prefetch_units + opts.prefetch_units + 1;
+    EXPECT_LE(loader.stats().peak_shared_chunks, bound) << shuffle;
+    EXPECT_GE(loader.stats().peak_shared_chunks, 2u) << shuffle;
+    const uint64_t gets = counted->gets() - gets_before;
+    if (shuffle) {
+      // A dropped mask chunk is fetched again by its next reader.
+      EXPECT_GE(gets, image_chunks + mask_chunks + 1);
+    } else {
+      // In order, a mask chunk's readers are consecutive: one Get each.
+      EXPECT_EQ(gets, image_chunks + mask_chunks + 1);
+    }
+  }
+}
+
+/// Streams the sparse view of SparseViewReadsOnlyWantedSamplesByRange
+/// over images stored with these compressions; returns the range reads.
+uint64_t SparseViewRangeReads(const std::string& chunk_compression,
+                              const std::string& sample_compression) {
+  auto base = std::make_shared<storage::MemoryStore>();
+  WriteSparseDataset(base, 400, chunk_compression, sample_compression);
+  auto s3 = CountedS3(base, "stream_test.compressed." + chunk_compression +
+                                "." + sample_compression);
+  auto ds = Dataset::Open(s3).MoveValue();
+  auto reference = Dataset::Open(base).MoveValue();
+  auto view = tql::RunQuery(ds, "SELECT * FROM ds WHERE labels % 40 = 7");
+  EXPECT_TRUE(view.ok()) << view.status();
+  if (!view.ok()) return 0;
+  const uint64_t ranges_before = s3->get_ranges();
+  DataloaderOptions opts;
+  opts.batch_size = 4;
+  opts.num_workers = 1;
+  Dataloader loader(ds, *view, opts);
+  EXPECT_EQ(DrainChecked(loader, *reference).size(), view->size());
+  return s3->get_ranges() - ranges_before;
+}
+
+TEST(SparseReadTest, ChunkCompressedTensorNeverReadsByRange) {
+  EXPECT_EQ(SparseViewRangeReads(/*chunk_compression=*/"lz77",
+                                 /*sample_compression=*/"none"),
+            0u);
+}
+
+TEST(SparseReadTest, SampleCompressedTensorNeverReadsByRange) {
+  // The shape index gives no stored size for a compressed sample, so the
+  // cost rule has nothing to weigh: such chunks are read whole.
+  EXPECT_EQ(SparseViewRangeReads(/*chunk_compression=*/"none",
+                                 /*sample_compression=*/"lz77"),
+            0u);
+}
+
+TEST(SparseReadTest, FailedRangeReadSurfacesFromNext) {
+  auto base = std::make_shared<storage::MemoryStore>();
+  WriteSparseDataset(base, 400);
+  auto faulty = std::make_shared<storage::FaultInjectionStore>(
+      std::make_shared<sim::SimulatedObjectStore>(base, ScaledS3()),
+      /*fail_every=*/1, storage::kFaultGetRange);
+  auto ds = Dataset::Open(faulty).MoveValue();
+  auto view = tql::RunQuery(ds, "SELECT * FROM ds WHERE labels % 40 = 7");
+  ASSERT_TRUE(view.ok()) << view.status();
+  DataloaderOptions opts;
+  opts.batch_size = 1;
+  opts.num_workers = 1;
+  Dataloader loader(ds, *view, opts);
+  Batch batch;
+  Status seen;
+  uint64_t rows = 0;
+  while (true) {
+    auto more = loader.Next(&batch);
+    if (!more.ok()) {
+      seen = more.status();
+      break;
+    }
+    if (!*more) break;
+    rows += batch.size;
+  }
+  // Only GetRange is faulted, so the error can only come from a range read.
+  EXPECT_TRUE(seen.IsIOError()) << seen;
+  EXPECT_LT(rows, view->size());
 }
 
 }  // namespace
